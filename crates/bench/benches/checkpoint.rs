@@ -36,7 +36,6 @@ fn session(choice: PlanChoice, parallelism: Parallelism) -> Session {
         .plan_choice(choice)
         .parallelism(parallelism)
         .collect_results(true)
-        .durable(true)
 }
 
 fn main() {

@@ -416,15 +416,13 @@ impl std::fmt::Debug for DistPipeline {
 
 impl DistPipeline {
     /// Spawns `workers` local worker processes (loopback) and compiles
-    /// `plan` on each. `grouped` selects the grouped/slot compile path
-    /// (required for live plan swaps — query groups use it).
+    /// `plan` on each.
     pub fn compile(
         plan: &QueryPlan,
         opts: PipelineOptions,
-        grouped: bool,
         workers: usize,
     ) -> Result<DistPipeline> {
-        Self::build(plan, opts, grouped, workers, None)
+        Self::build(plan, opts, workers, None)
     }
 
     /// Connects to externally managed workers (one shard per address)
@@ -433,10 +431,9 @@ impl DistPipeline {
     pub fn connect(
         plan: &QueryPlan,
         opts: PipelineOptions,
-        grouped: bool,
         addrs: &[SocketAddr],
     ) -> Result<DistPipeline> {
-        Self::build_at(plan, opts, grouped, addrs.to_vec(), Vec::new(), None)
+        Self::build_at(plan, opts, addrs.to_vec(), Vec::new(), None)
     }
 
     /// Restores a pipeline from a full checkpoint document produced by
@@ -447,11 +444,10 @@ impl DistPipeline {
     pub fn restore(
         plan: &QueryPlan,
         opts: PipelineOptions,
-        grouped: bool,
         workers: usize,
         snapshot: &[u8],
     ) -> CheckpointResult<DistPipeline> {
-        Self::build(plan, opts, grouped, workers, Some(snapshot)).map_err(|e| CheckpointError::Io {
+        Self::build(plan, opts, workers, Some(snapshot)).map_err(|e| CheckpointError::Io {
             kind: std::io::ErrorKind::Other,
             message: e.to_string(),
         })
@@ -460,7 +456,6 @@ impl DistPipeline {
     fn build(
         plan: &QueryPlan,
         opts: PipelineOptions,
-        grouped: bool,
         workers: usize,
         snapshot: Option<&[u8]>,
     ) -> Result<DistPipeline> {
@@ -473,13 +468,12 @@ impl DistPipeline {
             addrs.push(proc.addr());
             procs.push(proc);
         }
-        Self::build_at(plan, opts, grouped, addrs, procs, snapshot)
+        Self::build_at(plan, opts, addrs, procs, snapshot)
     }
 
     fn build_at(
         plan: &QueryPlan,
         opts: PipelineOptions,
-        grouped: bool,
         addrs: Vec<SocketAddr>,
         procs: Vec<WorkerProc>,
         snapshot: Option<&[u8]>,
@@ -500,7 +494,6 @@ impl DistPipeline {
         let mut conns = Vec::with_capacity(addrs.len());
         for (i, &addr) in addrs.iter().enumerate() {
             let setup = Setup {
-                grouped,
                 opts,
                 plan_json: plan_json.clone(),
                 snapshot: parts.as_ref().map(|p| p[i].clone()),
@@ -600,21 +593,6 @@ impl DistPipeline {
     /// snapshot (restorable at any parallelism).
     pub fn export_snapshot(&mut self) -> Result<Vec<u8>> {
         self.lock().export_snapshot()
-    }
-
-    /// Writes the merged checkpoint document to `w`.
-    pub fn checkpoint<W: std::io::Write + ?Sized>(&mut self, w: &mut W) -> CheckpointResult<()> {
-        let doc = self
-            .lock()
-            .export_snapshot()
-            .map_err(|e| CheckpointError::Io {
-                kind: std::io::ErrorKind::Other,
-                message: e.to_string(),
-            })?;
-        w.write_all(&doc).map_err(|e| CheckpointError::Io {
-            kind: e.kind(),
-            message: e.to_string(),
-        })
     }
 
     /// Summed worker counters; replans are the façade's count. Records
@@ -735,6 +713,18 @@ impl ExecBackend for DistPipeline {
         DistPipeline::buffered(self)
     }
 
+    fn events_pushed(&self) -> u64 {
+        DistPipeline::events_pushed(self)
+    }
+
+    fn results_emitted(&self) -> u64 {
+        DistPipeline::results_emitted(self)
+    }
+
+    fn shards(&self) -> usize {
+        self.workers
+    }
+
     fn export_snapshot(&mut self, _plan: &QueryPlan) -> CheckpointResult<Vec<u8>> {
         self.lock()
             .export_snapshot()
@@ -756,18 +746,8 @@ pub struct DistFactory {
 }
 
 impl BackendFactory for DistFactory {
-    fn compile(
-        &self,
-        plan: &QueryPlan,
-        opts: PipelineOptions,
-        grouped: bool,
-    ) -> Result<Box<dyn ExecBackend>> {
-        Ok(Box::new(DistPipeline::compile(
-            plan,
-            opts,
-            grouped,
-            self.workers,
-        )?))
+    fn compile(&self, plan: &QueryPlan, opts: PipelineOptions) -> Result<Box<dyn ExecBackend>> {
+        Ok(Box::new(DistPipeline::compile(plan, opts, self.workers)?))
     }
 
     fn restore(
@@ -779,7 +759,6 @@ impl BackendFactory for DistFactory {
         Ok(Box::new(DistPipeline::restore(
             plan,
             opts,
-            true,
             self.workers,
             snapshot,
         )?))

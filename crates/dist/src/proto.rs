@@ -21,8 +21,9 @@ use fw_serve::wire::{decode_result_row, encode_result_row, Cursor, WireError};
 /// Protocol magic carried by `Hello` / `HelloAck` (`"FWD1"`).
 pub const DIST_MAGIC: u32 = u32::from_le_bytes(*b"FWD1");
 
-/// Protocol version negotiated by `Hello` / `HelloAck`.
-pub const DIST_VERSION: u16 = 1;
+/// Protocol version negotiated by `Hello` / `HelloAck`. Version 2 dropped
+/// the compile-path byte from [`Setup`].
+pub const DIST_VERSION: u16 = 2;
 
 /// Coordinator hello: magic + version; must be the first frame.
 pub const KIND_HELLO: u8 = 0x31;
@@ -100,8 +101,6 @@ pub fn decode_hello(payload: &[u8]) -> Result<(), WireError> {
 /// What a worker needs to build (or restore) its shard pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Setup {
-    /// Compile through the grouped/slot path (live plan swaps allowed).
-    pub grouped: bool,
     /// The worker's [`PipelineOptions`].
     pub opts: PipelineOptions,
     /// The shared plan, serialized by `fw_core::json`.
@@ -129,7 +128,6 @@ fn profile_from_code(code: u8) -> Result<ProfileLevel, WireError> {
 
 /// Appends a [`Setup`] payload.
 pub fn encode_setup(setup: &Setup, buf: &mut Vec<u8>) {
-    buf.push(u8::from(setup.grouped));
     buf.push(u8::from(setup.opts.collect));
     buf.extend_from_slice(&setup.opts.element_work.to_le_bytes());
     buf.extend_from_slice(&setup.opts.out_of_order.to_le_bytes());
@@ -148,7 +146,6 @@ pub fn encode_setup(setup: &Setup, buf: &mut Vec<u8>) {
 /// Decodes a [`Setup`] payload.
 pub fn decode_setup(payload: &[u8]) -> Result<Setup, WireError> {
     let mut r = Cursor::new(payload);
-    let grouped = r.u8("dist setup")? != 0;
     let collect = r.u8("dist setup")? != 0;
     let element_work = r.u32("dist setup")?;
     let out_of_order = r.u64("dist setup")?;
@@ -161,7 +158,6 @@ pub fn decode_setup(payload: &[u8]) -> Result<Setup, WireError> {
     };
     let plan_json = r.utf8_rest()?;
     Ok(Setup {
-        grouped,
         opts: PipelineOptions {
             collect,
             element_work,
@@ -449,7 +445,6 @@ mod tests {
     #[test]
     fn setup_roundtrip() {
         let setup = Setup {
-            grouped: true,
             opts: PipelineOptions {
                 collect: true,
                 element_work: 7,
@@ -465,7 +460,6 @@ mod tests {
 
         let bare = Setup {
             snapshot: None,
-            grouped: false,
             ..setup
         };
         buf.clear();

@@ -263,7 +263,6 @@ fn build_pipeline(setup: &Setup) -> Result<(QueryPlan, PlanPipeline), EngineErro
     let pipeline = match &setup.snapshot {
         Some(doc) => PlanPipeline::restore(&plan, setup.opts, &mut &doc[..])
             .map_err(|e| EngineError::Distributed(format!("snapshot restore: {e}")))?,
-        None if setup.grouped => PlanPipeline::compile_grouped(&plan, setup.opts)?,
         None => PlanPipeline::compile(&plan, setup.opts)?,
     };
     Ok((plan, pipeline))

@@ -69,7 +69,7 @@ fn run_distributed_mixed(
     workers: usize,
     rng: &mut SplitMix64,
 ) -> Vec<WindowResult> {
-    let mut pipeline = DistPipeline::compile(plan, opts(slack), false, workers).unwrap();
+    let mut pipeline = DistPipeline::compile(plan, opts(slack), workers).unwrap();
     assert_eq!(pipeline.workers(), workers);
     let mut collected = Vec::new();
     let mut i = 0usize;
@@ -169,7 +169,7 @@ fn multi_aggregate_columnar_push_matches() {
             sorted_results(pipeline.finish().unwrap().results)
         };
         let distributed = {
-            let mut pipeline = DistPipeline::compile(plan, opts(4), false, 2).unwrap();
+            let mut pipeline = DistPipeline::compile(plan, opts(4), 2).unwrap();
             pipeline.push_columns(times, keys, values).unwrap();
             sorted_results(pipeline.finish().unwrap().results)
         };
@@ -204,8 +204,8 @@ fn checkpoint_rescales_across_worker_counts() {
     let (b, c) = rest.split_at(rest.len() / 2);
     let mut collected = Vec::new();
 
-    // Stage 1: two worker processes (grouped compile — the durable core).
-    let mut p1 = DistPipeline::compile(plan, opts(slack), true, 2).unwrap();
+    // Stage 1: two worker processes.
+    let mut p1 = DistPipeline::compile(plan, opts(slack), 2).unwrap();
     p1.push_batch(a).unwrap();
     let watermark = p1.watermark().saturating_sub(slack);
     p1.advance_watermark(watermark).unwrap();
@@ -214,7 +214,7 @@ fn checkpoint_rescales_across_worker_counts() {
     drop(p1);
 
     // Stage 2: restore onto four worker processes.
-    let mut p2 = DistPipeline::restore(plan, opts(slack), true, 4, &snap1).unwrap();
+    let mut p2 = DistPipeline::restore(plan, opts(slack), 4, &snap1).unwrap();
     assert_eq!(p2.events_pushed(), a.len() as u64, "replay cursor survives");
     p2.push_batch(b).unwrap();
     collected.extend(p2.poll_results());

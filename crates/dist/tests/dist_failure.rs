@@ -50,7 +50,7 @@ fn worker_killed_mid_stream_fails_loud_without_hanging() {
     let mut victim = WorkerProc::spawn().unwrap();
     let bystander = WorkerProc::spawn().unwrap();
     let addrs = [victim.addr(), bystander.addr()];
-    let mut pipeline = DistPipeline::connect(&plan, opts(), false, &addrs).unwrap();
+    let mut pipeline = DistPipeline::connect(&plan, opts(), &addrs).unwrap();
 
     pipeline.push_batch(&events(200)).unwrap();
     pipeline.advance_watermark(100).unwrap();
@@ -114,8 +114,8 @@ fn bystander_pipeline_survives_neighbor_failure() {
 
     let mut doomed_worker = WorkerProc::spawn().unwrap();
     let addrs = [doomed_worker.addr()];
-    let mut doomed = DistPipeline::connect(&plan, opts(), false, &addrs).unwrap();
-    let mut healthy = DistPipeline::compile(&plan, opts(), false, 2).unwrap();
+    let mut doomed = DistPipeline::connect(&plan, opts(), &addrs).unwrap();
+    let mut healthy = DistPipeline::compile(&plan, opts(), 2).unwrap();
 
     // Interleave the two pipelines, then kill the doomed one's worker.
     for chunk in stream.chunks(50) {
@@ -137,7 +137,7 @@ fn bystander_pipeline_survives_neighbor_failure() {
 #[test]
 fn out_of_order_event_surfaces_with_structure() {
     let plan = plan();
-    let mut pipeline = DistPipeline::compile(&plan, opts(), false, 2).unwrap();
+    let mut pipeline = DistPipeline::compile(&plan, opts(), 2).unwrap();
     pipeline.push(Event::new(100, 0, 1.0)).unwrap();
     pipeline.advance_watermark(100).unwrap();
     // Behind the announced watermark with zero slack: the owning worker

@@ -49,6 +49,15 @@ pub trait Aggregate: 'static {
     /// Folds a sub-aggregate in.
     fn combine(acc: &mut Self::Acc, other: &Self::Acc);
 
+    /// Folds the other half of the *same* window instance in (the two
+    /// halves a live plan swap splits an open instance into). The same as
+    /// [`Self::combine`] wherever that is defined; holistic functions,
+    /// which have no sub-aggregates, concatenate their multisets.
+    #[inline]
+    fn merge(acc: &mut Self::Acc, other: &Self::Acc) {
+        Self::combine(acc, other);
+    }
+
     /// Produces the result value.
     fn finalize(acc: &Self::Acc) -> f64;
 }
@@ -341,6 +350,10 @@ impl Aggregate for MedianAgg {
 
     fn combine(_acc: &mut Vec<f64>, _other: &Vec<f64>) {
         unreachable!("holistic sub-aggregation is rejected at plan compile time");
+    }
+
+    fn merge(acc: &mut Vec<f64>, other: &Vec<f64>) {
+        acc.extend_from_slice(other);
     }
 
     fn finalize(acc: &Vec<f64>) -> f64 {

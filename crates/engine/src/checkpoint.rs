@@ -3,7 +3,7 @@
 //! *elastic* (a checkpoint taken at N shards restores into M).
 //!
 //! The snapshot rides the same export path as live plan swaps
-//! (`MultiCore::export_state` / `adopt`): exposed-window
+//! (`driver::Core::export_state` / `adopt`): exposed-window
 //! open panes, slot accumulators (including holistic raw multisets), the
 //! reorder buffer, undelivered sink rows, cumulative accounting, and the
 //! sealing watermark. Everything below the exposed windows (factor-window
@@ -34,10 +34,10 @@
 //! byte-identical to an uninterrupted run.
 
 use crate::agg::SumCount;
+use crate::driver::{GroupState, KeyedPane, MultiAcc, Slot};
 use crate::error::EngineError;
 use crate::event::{sorted_results, WindowResult};
 use crate::executor::ExecStats;
-use crate::multi::{GroupState, KeyedPane, MultiAcc, Slot};
 use fw_core::{AggregateFunction, AggregateSpec, Interval, Window, WindowQuery, WindowSet};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};

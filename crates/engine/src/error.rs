@@ -22,10 +22,8 @@ pub enum EngineError {
         keys: usize,
         values: usize,
     },
-    /// The pipeline cannot be rebuilt in place (e.g. it was compiled on a
-    /// monomorphized single-aggregate core, or a group's execution
-    /// strategy would have to change mid-stream). Only pipelines compiled
-    /// through the grouped/slot path support live plan swaps.
+    /// The swap cannot be performed in place: a group's execution
+    /// strategy would have to change mid-stream.
     RebuildUnsupported { reason: &'static str },
     /// A distributed backend lost a worker: transport failure, a worker
     /// process dying mid-stream, or a protocol violation on the shard

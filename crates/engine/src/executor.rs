@@ -10,65 +10,20 @@
 //! Compilation and feeding are split: [`PlanPipeline::compile`] builds a
 //! long-lived pipeline once, and [`PlanPipeline::push`] /
 //! [`PlanPipeline::advance_watermark`] / [`PlanPipeline::poll_results`] /
-//! [`PlanPipeline::finish`] drive it incrementally. The free functions
-//! [`execute`] / [`execute_with`] remain as thin batch wrappers and are
-//! deprecated in favor of the pipeline (or the `factor_windows::Session`
-//! façade one level up).
+//! [`PlanPipeline::finish`] drive it incrementally. The operators
+//! themselves live in the crate-private `driver` module; this module owns
+//! what surrounds them — the result sink, the reorder buffer, timing, and
+//! the accounting that stays cumulative across plan swaps and checkpoints.
 
-use crate::agg::{Aggregate, AvgAgg, CountAgg, MaxAgg, MedianAgg, MinAgg, SumAgg};
 use crate::batch::EventBatch;
+use crate::driver::{compile_core, PipelineCore};
 use crate::error::{EngineError, Result};
 use crate::event::{Event, ResultSink, WindowResult};
-use crate::pane::PaneStore;
+use crate::group::ExecBackend;
 use crate::profile::{fold_profiles, join_profiles, NodeProfile, ProfileLevel};
 use crate::reorder::ReorderBuffer;
-use fw_core::{AggregateFunction, QueryPlan, Window};
+use fw_core::QueryPlan;
 use std::time::{Duration, Instant};
-
-/// Run-sliced pane routing, shared by the executor cores (this module's
-/// monomorphized [`Typed`] core and [`crate::multi::MultiCore`]).
-///
-/// A *run* is a maximal column slice whose events all route to the same
-/// instance set of every raw-fed window and cannot seal anything: the
-/// instance arithmetic (one division per window) and the sealing check
-/// are then paid once per run instead of once per event, and each run is
-/// folded per key so a key repeated k times in a run costs one hash probe
-/// instead of k (see `PaneStore::update_run`). Mostly-in-order streams at
-/// the paper's constant pace produce runs of a whole slide (η·s events),
-/// which is where the columnar ingestion win comes from.
-///
-/// Returns the exclusive time limit of the run starting at `t0`: the
-/// earliest next slide boundary over `windows`, capped at `deadline`
-/// (instance routing changes only at multiples of the slide, and nothing
-/// strictly below the deadline can seal).
-#[inline]
-pub(crate) fn run_limit<'a>(
-    t0: u64,
-    windows: impl Iterator<Item = &'a Window>,
-    deadline: u64,
-) -> u64 {
-    let mut limit = deadline;
-    for window in windows {
-        let s = window.slide();
-        limit = limit.min((t0 / s + 1).saturating_mul(s));
-    }
-    limit
-}
-
-/// Length of the run starting at `times[0]`: the maximal non-decreasing
-/// prefix strictly below `limit`. A timestamp decrease ends the run (the
-/// next run's head is then validated against the watermark, reproducing
-/// the per-event out-of-order check at the same position).
-#[inline]
-pub(crate) fn run_len(times: &[u64], limit: u64) -> usize {
-    let mut prev = times[0];
-    let mut j = 1;
-    while j < times.len() && times[j] >= prev && times[j] < limit {
-        prev = times[j];
-        j += 1;
-    }
-    j
-}
 
 /// Element-level accounting: the quantities the paper's cost model counts.
 ///
@@ -145,25 +100,6 @@ impl RunOutput {
     }
 }
 
-/// Execution options for the deprecated batch entry points.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecOptions {
-    /// Gather results (tests) instead of counting them (throughput runs).
-    pub collect: bool,
-    /// Emulated per-element processing cost
-    /// ([`crate::pane::DEFAULT_ELEMENT_WORK`]); `0` disables it.
-    pub element_work: u32,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            collect: false,
-            element_work: crate::pane::DEFAULT_ELEMENT_WORK,
-        }
-    }
-}
-
 /// Options for compiling a [`PlanPipeline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineOptions {
@@ -203,35 +139,6 @@ impl PipelineOptions {
             ..PipelineOptions::default()
         }
     }
-}
-
-/// Executes `plan` over `events` (must be in non-decreasing time order)
-/// with default element work. Set `collect` to gather results for
-/// correctness checks; leave it off for throughput measurements.
-#[deprecated(
-    since = "0.2.0",
-    note = "compile a `PlanPipeline` (or use `factor_windows::Session`) and push events instead"
-)]
-pub fn execute(plan: &QueryPlan, events: &[Event], collect: bool) -> Result<RunOutput> {
-    let opts = PipelineOptions {
-        collect,
-        ..PipelineOptions::default()
-    };
-    PlanPipeline::run(plan, events, opts)
-}
-
-/// Executes `plan` with explicit [`ExecOptions`].
-#[deprecated(
-    since = "0.2.0",
-    note = "compile a `PlanPipeline` (or use `factor_windows::Session`) and push events instead"
-)]
-pub fn execute_with(plan: &QueryPlan, events: &[Event], opts: ExecOptions) -> Result<RunOutput> {
-    let opts = PipelineOptions {
-        collect: opts.collect,
-        element_work: opts.element_work,
-        ..PipelineOptions::default()
-    };
-    PlanPipeline::run(plan, events, opts)
 }
 
 /// A compiled, long-lived physical pipeline with an incremental push API.
@@ -320,28 +227,14 @@ impl PlanPipeline {
     /// position and structurally invalid plans are rejected here, before
     /// any event flows.
     ///
-    /// Single-aggregate plans compile to the per-function monomorphized
-    /// core (byte-identical to the pre-multi-aggregate engine);
-    /// multi-aggregate plans compile to the shared-pane
-    /// `MultiCore` ([`crate::multi`]), which maintains each pane once and
-    /// fans it out to one accumulator slot per term.
+    /// The pane layout follows from the plan's term count alone:
+    /// single-aggregate plans run the per-function monomorphized slab
+    /// layout ([`crate::pane`]), multi-aggregate plans the shared-pane SoA
+    /// layout ([`crate::multi`]), which maintains each pane once and fans
+    /// it out to one accumulator column per term. Either way the pipeline
+    /// can [`Self::rebuild`] and [`Self::checkpoint`].
     pub fn compile(plan: &QueryPlan, opts: PipelineOptions) -> Result<Self> {
-        let work = opts.element_work;
-        let prof = opts.profile;
-        let core: Box<dyn PipelineCore> = if plan.aggregates().len() > 1 {
-            Box::new(crate::multi::MultiCore::compile(plan, work, prof)?)
-        } else {
-            match plan.function() {
-                AggregateFunction::Min => Box::new(Typed::<MinAgg>::compile(plan, work, prof)?),
-                AggregateFunction::Max => Box::new(Typed::<MaxAgg>::compile(plan, work, prof)?),
-                AggregateFunction::Sum => Box::new(Typed::<SumAgg>::compile(plan, work, prof)?),
-                AggregateFunction::Count => Box::new(Typed::<CountAgg>::compile(plan, work, prof)?),
-                AggregateFunction::Avg => Box::new(Typed::<AvgAgg>::compile(plan, work, prof)?),
-                AggregateFunction::Median => {
-                    Box::new(Typed::<MedianAgg>::compile(plan, work, prof)?)
-                }
-            }
-        };
+        let core = compile_core(plan, opts.element_work, opts.profile)?;
         Ok(Self::with_core(core, opts, Self::sink_hint(plan)))
     }
 
@@ -359,21 +252,6 @@ impl PlanPipeline {
             .filter(|&node| plan.is_exposed(node))
             .count();
         exposed * plan.aggregates().len().max(1) * SINK_KEY_ALLOWANCE
-    }
-
-    /// Compiles `plan` onto the slot-based core ([`crate::multi`])
-    /// regardless of its term count. Single-term plans lose the
-    /// monomorphized fast path but gain [`Self::rebuild`]: only the slot
-    /// core can export and re-adopt its pane state across a live plan
-    /// swap, so query-group execution and adaptive re-optimization compile
-    /// through here.
-    pub fn compile_grouped(plan: &QueryPlan, opts: PipelineOptions) -> Result<Self> {
-        let core = Box::new(crate::multi::MultiCore::compile(
-            plan,
-            opts.element_work,
-            opts.profile,
-        )?);
-        Ok(Self::with_core(core, opts, Self::sink_hint(plan)))
     }
 
     fn with_core(core: Box<dyn PipelineCore>, opts: PipelineOptions, sink_hint: usize) -> Self {
@@ -409,47 +287,41 @@ impl PlanPipeline {
     /// The sequence: announce `watermark` (flushing the reorder buffer and
     /// sealing every instance ending at or before it), cascade in-flight
     /// sub-aggregates down to the exposed windows, export their open
-    /// panes, compile `plan` onto a fresh slot core, and re-adopt the
-    /// state — slots matched by `(function, column)`, windows by value.
-    /// Instances spanning the boundary therefore keep their pre-boundary
-    /// contents while the new plan's (possibly completely different)
-    /// internal topology delivers exactly the post-boundary events, so
-    /// results are identical to having run the new plan's windows over the
-    /// whole stream. The reorder buffer, result sink, and cumulative
-    /// accounting survive the swap; [`ExecStats::replans`] increments.
-    ///
-    /// Only pipelines compiled through [`Self::compile_grouped`] (or
-    /// multi-aggregate plans, which use the slot core anyway) support
-    /// this; monomorphized single-aggregate pipelines return
-    /// [`EngineError::RebuildUnsupported`].
+    /// panes, compile `plan` onto a fresh core, and re-adopt the state —
+    /// slots matched by `(function, column)`, windows by value. Instances
+    /// spanning the boundary therefore keep their pre-boundary contents
+    /// while the new plan's (possibly completely different) internal
+    /// topology delivers exactly the post-boundary events, so results are
+    /// identical to having run the new plan's windows over the whole
+    /// stream. The new plan may carry a different number of aggregate
+    /// terms (and so run on the other pane layout): state travels in a
+    /// layout-neutral form. The reorder buffer, result sink, and
+    /// cumulative accounting survive the swap; [`ExecStats::replans`]
+    /// increments.
     pub fn rebuild(&mut self, plan: &QueryPlan, watermark: u64) -> Result<()> {
-        if !self.core.supports_group_state() {
-            return Err(EngineError::RebuildUnsupported {
-                reason: "pipeline was not compiled on the slot-based group core",
-            });
-        }
         // Compile before announcing the boundary or exporting: a plan
         // rejection must leave the running pipeline fully untouched — no
         // early sealing, no drained core.
-        let mut core = crate::multi::MultiCore::compile(plan, self.element_work, self.profile)?;
+        let mut core = compile_core(plan, self.element_work, self.profile)?;
         self.advance_watermark(watermark)?;
-        let state = self
-            .core
-            .export_group_state()
-            .expect("support checked above");
-        core.adopt(state);
-        // Fold the retired core's accounting into the cumulative base
-        // (after export: the downward flush performs counted combines).
+        core.adopt(self.core.export_state());
+        self.replans += 1;
+        self.install(core);
+        Ok(())
+    }
+
+    /// Folds the (exported, drained) live core's accounting into the
+    /// cumulative base and installs `fresh` in its place. Runs after the
+    /// export: the downward flush performs counted combines.
+    fn install(&mut self, fresh: Box<dyn PipelineCore>) {
         self.base_stats = self.base_stats + self.core.stats();
         self.base_fed += self.core.events_fed();
         self.base_results += self.core.results_emitted();
         self.base_work = self.base_work.wrapping_add(self.core.work_total());
         fold_profiles(&mut self.base_profiles, &self.core.node_profiles());
         self.base_compactions += self.core.compactions();
-        self.replans += 1;
-        self.core = Box::new(core);
+        self.core = fresh;
         self.sync_accounting();
-        Ok(())
     }
 
     /// Writes a durable checkpoint of the pipeline's full state (open
@@ -459,9 +331,7 @@ impl PlanPipeline {
     /// `plan` must be the plan this pipeline is executing: the snapshot
     /// rides the live-swap export path, which compiles a fresh core and
     /// re-adopts the exported state, so the pipeline *keeps running*
-    /// after the call (checkpoint-and-continue). Only pipelines on the
-    /// slot-based group core ([`Self::compile_grouped`] or any
-    /// multi-aggregate plan) support this.
+    /// after the call (checkpoint-and-continue).
     pub fn checkpoint<W: std::io::Write + ?Sized>(
         &mut self,
         plan: &QueryPlan,
@@ -482,17 +352,12 @@ impl PlanPipeline {
     ) -> std::result::Result<crate::checkpoint::PipelineImage, crate::checkpoint::CheckpointError>
     {
         use crate::checkpoint::{CheckpointError, PipelineImage};
-        if !self.core.supports_group_state() {
-            return Err(CheckpointError::Unsupported {
-                reason: "pipeline was not compiled on the slot-based group core",
-            });
-        }
         // Compile the replacement core first: a plan rejection must leave
         // the running pipeline untouched. Exporting drains the live core,
         // so re-adopting into a *fresh* core (never the same one — factor
         // windows would double-deliver their flushed panes) is mandatory.
-        let mut fresh = crate::multi::MultiCore::compile(plan, self.element_work, self.profile)
-            .map_err(CheckpointError::Engine)?;
+        let mut fresh =
+            compile_core(plan, self.element_work, self.profile).map_err(CheckpointError::Engine)?;
         self.close_burst();
         // Snapshot accounting before the export: the downward flush
         // performs counted combines that belong to the post-checkpoint
@@ -502,10 +367,7 @@ impl PlanPipeline {
         let results = self.base_results + self.core.results_emitted();
         let work = self.base_work.wrapping_add(self.core.work_total());
         let profiles = self.node_profiles();
-        let state = self
-            .core
-            .export_group_state()
-            .expect("support checked above");
+        let state = self.core.export_state();
         let mut image = PipelineImage::from_state(
             &state,
             self.reorder.as_ref().map(ReorderBuffer::image),
@@ -517,16 +379,8 @@ impl PlanPipeline {
         );
         image.profiles = profiles;
         fresh.adopt(state);
-        // Fold the retired core into the cumulative base. No replan
-        // increment: a checkpoint is observably transparent.
-        self.base_stats = self.base_stats + self.core.stats();
-        self.base_fed += self.core.events_fed();
-        self.base_results += self.core.results_emitted();
-        self.base_work = self.base_work.wrapping_add(self.core.work_total());
-        fold_profiles(&mut self.base_profiles, &self.core.node_profiles());
-        self.base_compactions += self.core.compactions();
-        self.core = Box::new(fresh);
-        self.sync_accounting();
+        // No replan increment: a checkpoint is observably transparent.
+        self.install(fresh);
         Ok(image)
     }
 
@@ -554,13 +408,13 @@ impl PlanPipeline {
         mut image: crate::checkpoint::PipelineImage,
     ) -> std::result::Result<Self, crate::checkpoint::CheckpointError> {
         use crate::checkpoint::CheckpointError;
-        let mut core = crate::multi::MultiCore::compile(plan, opts.element_work, opts.profile)
-            .map_err(CheckpointError::Engine)?;
+        let mut core =
+            compile_core(plan, opts.element_work, opts.profile).map_err(CheckpointError::Engine)?;
         let reorder_image = image.reorder.take();
         let pending = std::mem::take(&mut image.pending);
         let profiles = std::mem::take(&mut image.profiles);
         core.adopt(image.take_group_state());
-        let mut pipeline = Self::with_core(Box::new(core), opts, Self::sink_hint(plan));
+        let mut pipeline = Self::with_core(core, opts, Self::sink_hint(plan));
         if let Some(ri) = &reorder_image {
             // The snapshot is authoritative: it carries the buffered
             // events and the high watermark later pushes validate against.
@@ -586,8 +440,7 @@ impl PlanPipeline {
         Ok(pipeline)
     }
 
-    /// Compiles and runs `plan` over a whole in-order batch — the
-    /// non-deprecated replacement for [`execute_with`].
+    /// Compiles and runs `plan` over a whole in-order batch.
     pub fn run(plan: &QueryPlan, events: &[Event], opts: PipelineOptions) -> Result<RunOutput> {
         let mut pipeline = PlanPipeline::compile(plan, opts)?;
         pipeline.push_batch(events)?;
@@ -868,494 +721,72 @@ impl PlanPipeline {
     }
 }
 
-/// Object-safe interface over the pipeline cores (per-function
-/// monomorphized [`Typed`] and the multi-aggregate
-/// [`crate::multi::MultiCore`]), so one [`PlanPipeline`] type serves every
-/// aggregate list. `Send` so a compiled pipeline can move onto a shard
-/// worker thread (see [`crate::shard::ShardedPipeline`]).
-///
-/// The feed primitive is **columnar**: equally long timestamp/key/value
-/// slices, consumed run-sliced (see [`run_limit`]). Row-oriented entry
-/// points transpose (or wrap a single event as one-element columns)
-/// before reaching the core.
-pub(crate) trait PipelineCore: Send {
-    fn feed_columns(
-        &mut self,
-        times: &[u64],
-        keys: &[u32],
-        values: &[f64],
-        sink: &mut ResultSink,
-    ) -> Result<()>;
-    fn advance_to(&mut self, watermark: u64, sink: &mut ResultSink);
-    fn watermark(&self) -> u64;
-    fn events_fed(&self) -> u64;
-    fn last_event_time(&self) -> u64;
-    fn results_emitted(&self) -> u64;
-    fn stats(&self) -> ExecStats;
-    fn work_total(&self) -> u64;
-    /// Whether the core can export its state for a live plan swap (only
-    /// the slot-based [`crate::multi::MultiCore`] can).
-    fn supports_group_state(&self) -> bool {
-        false
-    }
-    /// Drains the core's migratable state (see
-    /// [`crate::multi::GroupState`]); `None` for monomorphized cores.
-    fn export_group_state(&mut self) -> Option<crate::multi::GroupState> {
-        None
-    }
-    /// `(slots, bytes)` high-water mark of the core's key interner —
-    /// the dense key space backing the pane slabs (see [`crate::slab`]).
-    fn interner_stats(&self) -> (u64, u64) {
-        (0, 0)
-    }
-    /// Observed counters for every window node, in `window_nodes` order
-    /// (see [`crate::profile::NodeProfile`]).
-    fn node_profiles(&self) -> Vec<NodeProfile>;
-    /// Interner compactions performed by this core.
-    fn compactions(&self) -> u64 {
-        0
-    }
-}
-
-/// Interner compaction floor: below this many slots the dense tables are
-/// too small to be worth recycling.
-pub(crate) const COMPACT_MIN_SLOTS: usize = 4096;
-
-/// Translates raw keys into dense slots through `interner`, appending to
-/// `slot_buf` (cleared first). Consecutive equal keys — the common case
-/// for run-sliced streams — share one interner probe.
-#[inline]
-pub(crate) fn intern_keys(
-    interner: &mut crate::slab::KeyInterner,
-    keys: &[u32],
-    slot_buf: &mut Vec<u32>,
-) {
-    slot_buf.clear();
-    slot_buf.reserve(keys.len());
-    let mut last_key = 0u32;
-    let mut last_slot = 0u32;
-    let mut have_last = false;
-    for &key in keys {
-        if !have_last || key != last_key {
-            last_slot = interner.intern(key);
-            last_key = key;
-            have_last = true;
-        }
-        slot_buf.push(last_slot);
-    }
-}
-
-/// The compiled physical pipeline, monomorphic over the aggregate.
-struct Typed<A: Aggregate> {
-    stores: Vec<PaneStore<A>>,
-    windows: Vec<Window>,
-    exposed: Vec<bool>,
-    children: Vec<Vec<usize>>,
-    roots: Vec<usize>,
-    /// Plan [`fw_core::NodeId`] of each operator (profiling identity).
-    node_ids: Vec<usize>,
-    /// Per-node instrumentation level (see [`ProfileLevel`]).
-    profile: ProfileLevel,
-    /// Seal passes performed (drives the sampled per-node clock).
-    seal_passes: u64,
-    /// Feed batches performed (drives the sampled per-node clock).
-    feed_passes: u64,
-    /// Interner compactions performed (trace observability).
-    compactions: u64,
-    /// Key → dense slot, shared by every store so parent and child panes
-    /// align slot-for-slot and combines are linear merges.
-    interner: crate::slab::KeyInterner,
-    /// Per-batch key→slot translation buffer (reused; ingress-only).
-    slot_buf: Vec<u32>,
-    /// Largest live-entry count seen in a sealing pane since the last
-    /// compaction — the signal distinguishing a genuinely wide key space
-    /// from a rotating one that has retired most of its slots.
-    peak_pane_live: usize,
-    /// `fed` at the last compaction (spacing guard against thrash).
-    last_compact_fed: u64,
-    /// Interner high-water `(slots, bytes)` across compactions.
-    interner_hw: (u64, u64),
-    watermark: u64,
-    /// `min` over stores of the next instance end; events strictly before
-    /// this cannot seal anything, so the per-event fast path is one compare.
-    deadline: u64,
-    results_emitted: u64,
-    /// Events successfully folded into the operators.
-    fed: u64,
-    /// Maximum event time among fed events (the end-of-stream seal point;
-    /// unlike `watermark`, never moved by explicit announcements).
-    last_event_time: u64,
-}
-
-impl<A: Aggregate> Typed<A> {
-    fn compile(plan: &QueryPlan, element_work: u32, profile: ProfileLevel) -> Result<Self> {
-        plan.validate().map_err(EngineError::InvalidPlan)?;
-        let node_ids: Vec<usize> = plan.window_nodes().collect();
-        let op_of = |node: usize| {
-            node_ids
-                .iter()
-                .position(|&n| n == node)
-                .expect("window node")
-        };
-
-        let mut windows = Vec::with_capacity(node_ids.len());
-        let mut exposed = Vec::with_capacity(node_ids.len());
-        let mut children = vec![Vec::new(); node_ids.len()];
-        let mut roots = Vec::new();
-        for (op, &node) in node_ids.iter().enumerate() {
-            let window = *plan.window_at(node).expect("window node");
-            windows.push(window);
-            exposed.push(plan.is_exposed(node));
-            match plan.feeding_window(node) {
-                None => roots.push(op),
-                Some(parent) => {
-                    if !A::COMBINABLE {
-                        return Err(EngineError::HolisticSubAggregate {
-                            function: A::function().name(),
-                        });
-                    }
-                    children[op_of(parent)].push(op);
-                }
-            }
-        }
-        let stores = windows
-            .iter()
-            .map(|w| PaneStore::<A>::with_element_work(*w, element_work))
-            .collect();
-        let mut pipeline = Typed {
-            stores,
-            windows,
-            exposed,
-            children,
-            roots,
-            node_ids,
-            profile,
-            seal_passes: 0,
-            feed_passes: 0,
-            compactions: 0,
-            interner: crate::slab::KeyInterner::new(),
-            slot_buf: Vec::new(),
-            peak_pane_live: 0,
-            last_compact_fed: 0,
-            interner_hw: (0, 0),
-            watermark: 0,
-            deadline: 0,
-            results_emitted: 0,
-            fed: 0,
-            last_event_time: 0,
-        };
-        pipeline.recompute_deadline();
-        Ok(pipeline)
+impl ExecBackend for PlanPipeline {
+    fn push(&mut self, event: Event) -> Result<()> {
+        PlanPipeline::push(self, event)
     }
 
-    fn recompute_deadline(&mut self) {
-        self.deadline = self
-            .stores
-            .iter()
-            .map(PaneStore::front_end)
-            .min()
-            .unwrap_or(u64::MAX);
+    fn push_batch(&mut self, events: &[Event]) -> Result<()> {
+        PlanPipeline::push_batch(self, events)
     }
 
-    /// Emits the window's results for the pane at the store front,
-    /// straight into the sink (no intermediate buffer: with the sink's
-    /// pre-reserved capacity, steady-state emission allocates nothing).
-    #[inline]
-    fn emit_front(&mut self, op: usize, interval: fw_core::Interval, sink: &mut ResultSink) {
-        let window = self.windows[op];
-        let pane = self.stores[op].front_pane();
-        let slot_keys = self.interner.keys();
-        let mut emitted = 0u64;
-        if let ResultSink::Collect(_) = sink {
-            for (slot, acc) in pane.iter() {
-                sink.push(
-                    WindowResult {
-                        window,
-                        interval,
-                        key: slot_keys[slot as usize],
-                        agg: 0,
-                        value: A::finalize(acc),
-                    },
-                    &mut emitted,
-                );
-            }
-        } else {
-            emitted = pane.len() as u64;
-        }
-        self.results_emitted += emitted;
-        if self.profile.counters_on() {
-            self.stores[op].note_emitted(emitted);
-        }
+    fn push_columns(&mut self, times: &[u64], keys: &[u32], values: &[f64]) -> Result<()> {
+        PlanPipeline::push_columns(self, times, keys, values)
     }
 
-    /// Seals every instance with `end ≤ watermark`, cascading sub-aggregates
-    /// down the forest. Operators are stored in topological order (parents
-    /// first), so a single pass suffices; the pass also refreshes the
-    /// deadline, so sealing adds no extra scan.
-    fn advance(&mut self, watermark: u64, sink: &mut ResultSink) {
-        let counters = self.profile.counters_on();
-        let clock = self.profile.clock_on() && {
-            self.seal_passes = self.seal_passes.wrapping_add(1);
-            self.seal_passes.is_multiple_of(PROFILE_CLOCK_STRIDE)
-        };
-        let mut deadline = u64::MAX;
-        for op in 0..self.stores.len() {
-            // On sampled passes the per-op seal work is timed, with the
-            // cascade's combines attributed to the receiving child node.
-            let mut op_timer = clock.then(Instant::now);
-            let mut op_nanos = 0u64;
-            while let Some(interval) = self.stores[op].prepare_due(watermark) {
-                if self.exposed[op] {
-                    self.emit_front(op, interval, sink);
-                }
-                // Children are strictly later ops (plans are topologically
-                // ordered), so a split borrow reaches them without copying
-                // the sealed pane.
-                let (head, tail) = self.stores.split_at_mut(op + 1);
-                let pane = head[op].front_pane();
-                let live = pane.len();
-                self.peak_pane_live = self.peak_pane_live.max(live);
-                let slot_keys = self.interner.keys();
-                match &mut op_timer {
-                    Some(start) => {
-                        op_nanos += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        for &child in &self.children[op] {
-                            debug_assert!(child > op, "plan must be topologically ordered");
-                            let t0 = Instant::now();
-                            tail[child - op - 1].combine_pane(&interval, pane, slot_keys);
-                            tail[child - op - 1]
-                                .add_nanos(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(0));
-                        }
-                        *start = Instant::now();
-                    }
-                    None => {
-                        for &child in &self.children[op] {
-                            debug_assert!(child > op, "plan must be topologically ordered");
-                            tail[child - op - 1].combine_pane(&interval, pane, slot_keys);
-                        }
-                    }
-                }
-                if counters {
-                    self.stores[op].note_seal(live as u64);
-                }
-                self.stores[op].retire_front();
-            }
-            if let Some(start) = op_timer {
-                op_nanos += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.stores[op].add_nanos(op_nanos);
-            }
-            deadline = deadline.min(self.stores[op].front_end());
-        }
-        self.deadline = deadline;
+    fn advance_watermark(&mut self, watermark: u64) -> Result<()> {
+        PlanPipeline::advance_watermark(self, watermark)
     }
 
-    /// Recycles the interner (and the slabs sized to it) at idle points
-    /// when the live key working set has shrunk well below the slot
-    /// count — long key churn would otherwise grow dense slabs without
-    /// bound. Only runs when every open pane is empty (slot ids are then
-    /// referenced nowhere), at least [`COMPACT_MIN_SLOTS`] slots exist,
-    /// the largest recent pane used under half the slots, and enough
-    /// events passed since the last compaction to amortize re-interning.
-    ///
-    /// Called from watermark announcements only — never from the sealing
-    /// that runs inside a columnar feed, whose translated slot buffer
-    /// must stay valid for the rest of the batch.
-    fn maybe_compact(&mut self) {
-        let slots = self.interner.len();
-        if slots >= COMPACT_MIN_SLOTS
-            && slots >= 2 * self.peak_pane_live.max(1)
-            && self.fed.saturating_sub(self.last_compact_fed) >= 16 * slots as u64
-            && self.stores.iter().all(PaneStore::is_idle)
-        {
-            self.interner_hw.0 = self.interner_hw.0.max(slots as u64);
-            self.interner_hw.1 = self.interner_hw.1.max(self.interner.bytes() as u64);
-            self.interner.clear();
-            for store in &mut self.stores {
-                store.compact();
-            }
-            self.peak_pane_live = 0;
-            self.last_compact_fed = self.fed;
-            self.compactions += 1;
-        }
-    }
-}
-
-impl<A: Aggregate> PipelineCore for Typed<A> {
-    /// The run-sliced feed: intern the key column into dense slots once
-    /// at ingress, split the columns at slide boundaries and the sealing
-    /// deadline, then fold each run into every root store with one
-    /// instance division per run and one slot-indexed accumulator resolve
-    /// per key sub-run — zero hash probes past this point. Behavior
-    /// (results, error position, accounting) is element-for-element
-    /// identical to feeding the events one at a time.
-    fn feed_columns(
-        &mut self,
-        times: &[u64],
-        keys: &[u32],
-        values: &[f64],
-        sink: &mut ResultSink,
-    ) -> Result<()> {
-        debug_assert!(times.len() == keys.len() && times.len() == values.len());
-        // One-element batches (the per-event `push` wrapper) skip the run
-        // arithmetic entirely and keep `update_point`'s tumbling fast
-        // path — the per-event API costs what it did before columnar
-        // ingestion existed.
-        let clock = self.profile.clock_on() && {
-            self.feed_passes = self.feed_passes.wrapping_add(1);
-            self.feed_passes.is_multiple_of(PROFILE_CLOCK_STRIDE)
-        };
-        if times.len() == 1 {
-            let t = times[0];
-            if t < self.watermark {
-                return Err(EngineError::OutOfOrderEvent {
-                    at: t,
-                    watermark: self.watermark,
-                });
-            }
-            if t >= self.deadline {
-                self.advance(t, sink);
-            }
-            self.watermark = t;
-            let slot = self.interner.intern(keys[0]);
-            for &root in &self.roots {
-                if clock {
-                    let t0 = Instant::now();
-                    self.stores[root].update_point(t, keys[0], slot, values[0]);
-                    self.stores[root]
-                        .add_nanos(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(0));
-                } else {
-                    self.stores[root].update_point(t, keys[0], slot, values[0]);
-                }
-            }
-            self.fed += 1;
-            self.last_event_time = self.last_event_time.max(t);
-            return Ok(());
-        }
-        // The whole batch's keys translate in one pass — the only hashing
-        // on the columnar path, paid once per element instead of once per
-        // key sub-run per root per instance.
-        let mut slot_buf = std::mem::take(&mut self.slot_buf);
-        intern_keys(&mut self.interner, keys, &mut slot_buf);
-        let mut i = 0;
-        while i < times.len() {
-            let head = times[i];
-            if head < self.watermark {
-                self.slot_buf = slot_buf;
-                return Err(EngineError::OutOfOrderEvent {
-                    at: head,
-                    watermark: self.watermark,
-                });
-            }
-            if head >= self.deadline {
-                self.advance(head, sink);
-            }
-            let limit = run_limit(
-                head,
-                self.roots.iter().map(|&root| &self.windows[root]),
-                self.deadline,
-            );
-            let j = i + run_len(&times[i..], limit);
-            for &root in &self.roots {
-                if clock {
-                    let t0 = Instant::now();
-                    self.stores[root].update_run(
-                        &times[i..j],
-                        &keys[i..j],
-                        &slot_buf[i..j],
-                        &values[i..j],
-                    );
-                    self.stores[root]
-                        .add_nanos(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(0));
-                } else {
-                    self.stores[root].update_run(
-                        &times[i..j],
-                        &keys[i..j],
-                        &slot_buf[i..j],
-                        &values[i..j],
-                    );
-                }
-            }
-            let last = times[j - 1];
-            self.watermark = last;
-            self.fed += (j - i) as u64;
-            self.last_event_time = self.last_event_time.max(last);
-            i = j;
-        }
-        self.slot_buf = slot_buf;
-        Ok(())
+    fn poll_results(&mut self) -> Vec<WindowResult> {
+        PlanPipeline::poll_results(self)
     }
 
-    fn advance_to(&mut self, watermark: u64, sink: &mut ResultSink) {
-        self.advance(watermark, sink);
-        // Later events behind an announced watermark can no longer be
-        // ordered with the sealed instances.
-        self.watermark = self.watermark.max(watermark);
-        self.maybe_compact();
+    fn rebuild(&mut self, plan: &QueryPlan, watermark: u64) -> Result<()> {
+        PlanPipeline::rebuild(self, plan, watermark)
+    }
+
+    fn finish(self: Box<Self>) -> Result<RunOutput> {
+        PlanPipeline::finish(*self)
     }
 
     fn watermark(&self) -> u64 {
-        self.watermark
+        PlanPipeline::watermark(self)
     }
 
-    fn events_fed(&self) -> u64 {
-        self.fed
-    }
-
-    fn last_event_time(&self) -> u64 {
-        self.last_event_time
+    fn events_pushed(&self) -> u64 {
+        self.events_processed + self.buffered() as u64
     }
 
     fn results_emitted(&self) -> u64 {
-        self.results_emitted
+        PlanPipeline::results_emitted(self)
     }
 
     fn stats(&self) -> ExecStats {
-        let updates: u64 = self.stores.iter().map(PaneStore::updates).sum();
-        let combines: u64 = self.stores.iter().map(PaneStore::combines).sum();
-        ExecStats {
-            updates,
-            combines,
-            // One aggregate term: every pane element is one accumulator op.
-            agg_ops: updates + combines,
-            replans: 0,
-        }
-    }
-
-    fn work_total(&self) -> u64 {
-        self.stores
-            .iter()
-            .map(PaneStore::work_sink)
-            .fold(0u64, u64::wrapping_add)
+        PlanPipeline::stats(self)
     }
 
     fn interner_stats(&self) -> (u64, u64) {
-        (
-            self.interner_hw.0.max(self.interner.len() as u64),
-            self.interner_hw.1.max(self.interner.bytes() as u64),
-        )
+        PlanPipeline::interner_stats(self)
     }
 
     fn node_profiles(&self) -> Vec<NodeProfile> {
-        self.windows
-            .iter()
-            .enumerate()
-            .map(|(op, w)| {
-                let mut p = NodeProfile {
-                    node: self.node_ids[op],
-                    range: w.range(),
-                    slide: w.slide(),
-                    exposed: self.exposed[op],
-                    raw_fed: self.roots.contains(&op),
-                    ..NodeProfile::default()
-                };
-                self.stores[op].profile_into(&mut p);
-                p
-            })
-            .collect()
+        PlanPipeline::node_profiles(self)
     }
 
-    fn compactions(&self) -> u64 {
-        self.compactions
+    fn buffered(&self) -> usize {
+        PlanPipeline::buffered(self)
+    }
+
+    fn seal_counters(&self) -> Option<(u64, u64)> {
+        Some((self.results_emitted(), self.compactions()))
+    }
+
+    fn export_snapshot(
+        &mut self,
+        plan: &QueryPlan,
+    ) -> crate::checkpoint::CheckpointResult<Vec<u8>> {
+        crate::checkpoint::encode_pipeline_doc(&self.export_image(plan)?)
     }
 }
 
@@ -1539,19 +970,22 @@ mod tests {
     }
 
     #[test]
-    fn exec_options_defaults_mirror_pipeline_defaults() {
-        // The deprecated `executor::execute`/`execute_with` wrappers
-        // translate `ExecOptions` into `PipelineOptions` field-for-field
-        // with `out_of_order = 0` (`execute` additionally fixes
-        // `element_work` to the default). Internal code no longer calls
-        // them; pin the shared defaults so the wrapper contract cannot
-        // silently drift from the pipeline it delegates to.
-        let exec = ExecOptions::default();
-        let pipe = PipelineOptions::default();
-        assert_eq!(exec.collect, pipe.collect);
-        assert_eq!(exec.element_work, pipe.element_work);
-        assert_eq!(exec.element_work, crate::pane::DEFAULT_ELEMENT_WORK);
-        assert_eq!(pipe.out_of_order, 0);
+    fn pipeline_option_defaults_are_pinned() {
+        // `PlanPipeline::run(plan, events, PipelineOptions::default())` is
+        // the throughput configuration every harness relies on: count-only
+        // sink, calibrated element work, in-order input, no profiling.
+        let opts = PipelineOptions::default();
+        assert!(!opts.collect);
+        assert_eq!(opts.element_work, crate::pane::DEFAULT_ELEMENT_WORK);
+        assert_eq!(opts.out_of_order, 0);
+        assert_eq!(opts.profile, ProfileLevel::Off);
+        assert_eq!(
+            PipelineOptions::collecting(),
+            PipelineOptions {
+                collect: true,
+                ..opts
+            }
+        );
     }
 
     #[test]
@@ -1664,8 +1098,7 @@ mod tests {
         let reference = run_collect(&out.original.plan, &evs).unwrap();
 
         let mut pipeline =
-            PlanPipeline::compile_grouped(&out.factored.plan, PipelineOptions::collecting())
-                .unwrap();
+            PlanPipeline::compile(&out.factored.plan, PipelineOptions::collecting()).unwrap();
         let mut collected = Vec::new();
         pipeline.push_batch(&evs[..200]).unwrap();
         pipeline.rebuild(&out.original.plan, 200).unwrap();
@@ -1701,8 +1134,7 @@ mod tests {
         let reference = run_collect(plan, &evs).unwrap();
 
         for boundary in [130u64, 125, 140] {
-            let mut pipeline =
-                PlanPipeline::compile_grouped(plan, PipelineOptions::collecting()).unwrap();
+            let mut pipeline = PlanPipeline::compile(plan, PipelineOptions::collecting()).unwrap();
             pipeline.push_batch(&evs[..boundary as usize]).unwrap();
             pipeline.rebuild(plan, boundary).unwrap();
             pipeline.push_batch(&evs[boundary as usize..]).unwrap();
@@ -1731,8 +1163,7 @@ mod tests {
         let reference = run_collect(&out.rewritten.plan, &evs).unwrap();
 
         let mut pipeline =
-            PlanPipeline::compile_grouped(&out.rewritten.plan, PipelineOptions::collecting())
-                .unwrap();
+            PlanPipeline::compile(&out.rewritten.plan, PipelineOptions::collecting()).unwrap();
         pipeline.push_batch(&evs[..90]).unwrap();
         pipeline.rebuild(&out.factored.plan, 90).unwrap();
         pipeline.rebuild(&out.rewritten.plan, 90).unwrap(); // carry re-exported
@@ -1751,12 +1182,41 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_requires_the_slot_core() {
-        let q = query(&[w(10, 10)], AggregateFunction::Min);
-        let plan = fw_core::rewrite::original_plan(&q);
-        let mut pipeline = PlanPipeline::compile(&plan, PipelineOptions::default()).unwrap();
-        let err = pipeline.rebuild(&plan, 0).unwrap_err();
-        assert!(matches!(err, EngineError::RebuildUnsupported { .. }));
+    fn single_term_pipeline_rebuilds_and_checkpoints() {
+        // A single-aggregate plan runs on the monomorphized layout and
+        // still swaps plans, checkpoints and restores — there is no
+        // separate "durable" compile path to ask for.
+        let q = query(&[w(10, 10), w(20, 20)], AggregateFunction::Min);
+        let out = Optimizer::default().optimize(&q).unwrap();
+        let evs = events(200, 3);
+        let reference = run_collect(&out.original.plan, &evs).unwrap();
+
+        let opts = PipelineOptions::collecting();
+        let mut pipeline = PlanPipeline::compile(&out.factored.plan, opts).unwrap();
+        pipeline.push_batch(&evs[..70]).unwrap();
+        pipeline.rebuild(&out.original.plan, 70).unwrap();
+        pipeline.push_batch(&evs[70..130]).unwrap();
+        let mut delivered = pipeline.poll_results();
+        let mut snapshot = Vec::new();
+        pipeline
+            .checkpoint(&out.original.plan, &mut snapshot)
+            .unwrap();
+        drop(pipeline);
+
+        let mut restored =
+            PlanPipeline::restore(&out.original.plan, opts, &mut snapshot.as_slice()).unwrap();
+        assert_eq!(restored.events_processed(), 130);
+        restored.push_batch(&evs[130..]).unwrap();
+        let tail = restored.finish().unwrap();
+        delivered.extend(tail.results);
+        let bits = |rows: Vec<WindowResult>| -> Vec<(WindowResult, u64)> {
+            sorted_results(rows)
+                .into_iter()
+                .map(|r| (r, r.value.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(delivered), bits(reference.results));
+        assert_eq!(tail.stats.replans, 1);
     }
 
     #[test]
@@ -1773,7 +1233,7 @@ mod tests {
             out_of_order: 4,
             ..PipelineOptions::collecting()
         };
-        let mut pipeline = PlanPipeline::compile_grouped(&out.factored.plan, opts).unwrap();
+        let mut pipeline = PlanPipeline::compile(&out.factored.plan, opts).unwrap();
         for (i, &e) in jittered.iter().enumerate() {
             pipeline.push(e).unwrap();
             if i == 99 {

@@ -5,10 +5,8 @@
 //! runs the plan a [`fw_core::GroupPlan`] resolved to:
 //!
 //! * **Shared strategy** — one merged plan over the union of every
-//!   member's windows, compiled onto the slot-based group core (through
-//!   [`PlanPipeline::compile_grouped`] or
-//!   [`ShardedPipeline::compile_grouped`], so both backends support live
-//!   plan swaps). Every emitted [`WindowResult`] is looked up in the
+//!   member's windows, compiled onto one [`ExecBackend`] (every backend
+//!   supports live plan swaps). Every emitted [`WindowResult`] is looked up in the
 //!   routing table: `(window, merged slot)` fans out to each member that
 //!   subscribed to that value, tagged with the member's id and its
 //!   query-local SELECT index.
@@ -34,19 +32,28 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// An execution backend that can stand in for the in-process pipelines
-/// behind [`GroupExec`] (and the `factor_windows::Session` façade): the
-/// method surface [`PlanPipeline`] and [`ShardedPipeline`] share, object-
-/// safe so a backend living in a downstream crate (the socket-distributed
-/// coordinator of `fw-dist`) can be injected without fw-engine depending
-/// on it.
+/// An execution backend: the method surface [`PlanPipeline`],
+/// [`ShardedPipeline`] and the socket-distributed coordinator of `fw-dist`
+/// share, object-safe so [`GroupExec`] and the `factor_windows::Session`
+/// façade hold one `Box<dyn ExecBackend>` whatever runs behind it (and so
+/// a backend living in a downstream crate can be injected without
+/// fw-engine depending on it). One virtual call per pushed batch.
 ///
 /// Error-deferral contract: infallible-looking methods
-/// ([`Self::poll_results`], the read-only accessors) may encounter I/O
-/// failures in a remote implementation; such failures are recorded
-/// internally and surfaced by the next fallible call, exactly as
-/// [`ShardedPipeline`] defers worker-thread errors.
+/// ([`Self::poll_results`], the read-only accessors) may encounter
+/// failures on another thread or process; such failures are recorded
+/// internally and surfaced by the next fallible call.
 pub trait ExecBackend: Send + std::fmt::Debug {
+    /// Pushes one event (see [`PlanPipeline::push`]).
+    fn push(&mut self, event: Event) -> Result<()> {
+        self.push_columns(&[event.time], &[event.key], &[event.value])
+    }
+    /// Pushes a row-oriented batch (see [`PlanPipeline::push_batch`]).
+    fn push_batch(&mut self, events: &[Event]) -> Result<()> {
+        let batch = crate::batch::EventBatch::from_events(events);
+        let (times, keys, values) = batch.columns();
+        self.push_columns(times, keys, values)
+    }
     /// Pushes one columnar batch (see [`PlanPipeline::push_columns`]).
     fn push_columns(&mut self, times: &[u64], keys: &[u32], values: &[f64]) -> Result<()>;
     /// Announces a watermark (see [`PlanPipeline::advance_watermark`]).
@@ -59,6 +66,11 @@ pub trait ExecBackend: Send + std::fmt::Debug {
     fn finish(self: Box<Self>) -> Result<RunOutput>;
     /// The sealing watermark.
     fn watermark(&self) -> u64;
+    /// Events accepted so far, buffered and in-flight ones included — the
+    /// replay cursor a checkpoint taken now corresponds to.
+    fn events_pushed(&self) -> u64;
+    /// Results emitted so far (a synchronizing barrier off-thread).
+    fn results_emitted(&self) -> u64;
     /// Cumulative cost-model accounting.
     fn stats(&self) -> ExecStats;
     /// Key-interner high-water `(slots, bytes)`.
@@ -67,6 +79,17 @@ pub trait ExecBackend: Send + std::fmt::Debug {
     fn node_profiles(&self) -> Vec<crate::profile::NodeProfile>;
     /// Events currently buffered on the ingest side.
     fn buffered(&self) -> usize;
+    /// Worker threads or processes behind this backend (`0` when it runs
+    /// on the caller's thread).
+    fn shards(&self) -> usize {
+        0
+    }
+    /// `(results emitted, interner compactions)` when reading them costs
+    /// no synchronization — `None` for backends whose counters live on
+    /// other threads or processes.
+    fn seal_counters(&self) -> Option<(u64, u64)> {
+        None
+    }
     /// Exports a full `KIND_PIPELINE` snapshot document (header included,
     /// byte-compatible with [`PlanPipeline::checkpoint`]) and keeps
     /// streaming.
@@ -79,15 +102,8 @@ pub trait ExecBackend: Send + std::fmt::Debug {
 /// for the group's lifetime — per-query rebuilds compile arriving
 /// members' pipelines through it.
 pub trait BackendFactory: Send + Sync {
-    /// Compiles a fresh backend for `plan`. `grouped` requests the
-    /// slot-based group core (live plan swaps and checkpoints; see
-    /// [`PlanPipeline::compile_grouped`]).
-    fn compile(
-        &self,
-        plan: &QueryPlan,
-        opts: PipelineOptions,
-        grouped: bool,
-    ) -> Result<Box<dyn ExecBackend>>;
+    /// Compiles a fresh backend for `plan`.
+    fn compile(&self, plan: &QueryPlan, opts: PipelineOptions) -> Result<Box<dyn ExecBackend>>;
 
     /// Restores a backend from a full `KIND_PIPELINE` snapshot document
     /// (as produced by [`ExecBackend::export_snapshot`] or
@@ -98,6 +114,33 @@ pub trait BackendFactory: Send + Sync {
         opts: PipelineOptions,
         snapshot: &[u8],
     ) -> CheckpointResult<Box<dyn ExecBackend>>;
+}
+
+/// The in-process factory: `shards = 0` selects the single-threaded
+/// [`PlanPipeline`], `shards ≥ 1` the key-partitioned [`ShardedPipeline`].
+struct InProcess {
+    shards: usize,
+}
+
+impl BackendFactory for InProcess {
+    fn compile(&self, plan: &QueryPlan, opts: PipelineOptions) -> Result<Box<dyn ExecBackend>> {
+        Ok(match self.shards {
+            0 => Box::new(PlanPipeline::compile(plan, opts)?),
+            n => Box::new(ShardedPipeline::compile(plan, opts, n)?),
+        })
+    }
+
+    fn restore(
+        &self,
+        plan: &QueryPlan,
+        opts: PipelineOptions,
+        mut snapshot: &[u8],
+    ) -> CheckpointResult<Box<dyn ExecBackend>> {
+        Ok(match self.shards {
+            0 => Box::new(PlanPipeline::restore(plan, opts, &mut snapshot)?),
+            n => Box::new(ShardedPipeline::restore(plan, opts, n, &mut snapshot)?),
+        })
+    }
 }
 
 /// One result of a group run: a window value tagged with the member query
@@ -212,189 +255,17 @@ impl RouteIndex {
     }
 }
 
-/// Either execution backend, behind one internal push interface.
-#[derive(Debug)]
-enum AnyPipeline {
-    Single(Box<PlanPipeline>),
-    Sharded(ShardedPipeline),
-    /// An injected [`ExecBackend`] (the distributed coordinator).
-    Remote(Box<dyn ExecBackend>),
-}
-
-impl AnyPipeline {
-    /// Compiles onto the injected factory when one is present, otherwise
-    /// onto the in-process backend `shards` selects.
-    fn compile(
-        plan: &fw_core::QueryPlan,
-        opts: PipelineOptions,
-        shards: usize,
-        grouped: bool,
-        factory: Option<&Arc<dyn BackendFactory>>,
-    ) -> Result<Self> {
-        if let Some(factory) = factory {
-            return Ok(AnyPipeline::Remote(factory.compile(plan, opts, grouped)?));
-        }
-        Ok(match (shards, grouped) {
-            (0, true) => AnyPipeline::Single(Box::new(PlanPipeline::compile_grouped(plan, opts)?)),
-            (0, false) => AnyPipeline::Single(Box::new(PlanPipeline::compile(plan, opts)?)),
-            (n, true) => AnyPipeline::Sharded(ShardedPipeline::compile_grouped(plan, opts, n)?),
-            (n, false) => AnyPipeline::Sharded(ShardedPipeline::compile(plan, opts, n)?),
-        })
-    }
-
-    fn push(&mut self, event: Event) -> Result<()> {
-        match self {
-            AnyPipeline::Single(p) => p.push(event),
-            AnyPipeline::Sharded(p) => p.push(event),
-            AnyPipeline::Remote(p) => p.push_columns(&[event.time], &[event.key], &[event.value]),
-        }
-    }
-
-    fn push_batch(&mut self, events: &[Event]) -> Result<()> {
-        match self {
-            AnyPipeline::Single(p) => p.push_batch(events),
-            AnyPipeline::Sharded(p) => p.push_batch(events),
-            AnyPipeline::Remote(p) => {
-                // Correctness path, not the columnar hot path: transpose
-                // once and hand the remote backend whole columns.
-                let batch = crate::batch::EventBatch::from_events(events);
-                let (times, keys, values) = batch.columns();
-                p.push_columns(times, keys, values)
-            }
-        }
-    }
-
-    fn push_columns(&mut self, times: &[u64], keys: &[u32], values: &[f64]) -> Result<()> {
-        match self {
-            AnyPipeline::Single(p) => p.push_columns(times, keys, values),
-            AnyPipeline::Sharded(p) => p.push_columns(times, keys, values),
-            AnyPipeline::Remote(p) => p.push_columns(times, keys, values),
-        }
-    }
-
-    fn advance_watermark(&mut self, watermark: u64) -> Result<()> {
-        match self {
-            AnyPipeline::Single(p) => p.advance_watermark(watermark),
-            AnyPipeline::Sharded(p) => p.advance_watermark(watermark),
-            AnyPipeline::Remote(p) => p.advance_watermark(watermark),
-        }
-    }
-
-    fn poll_results(&mut self) -> Vec<WindowResult> {
-        match self {
-            AnyPipeline::Single(p) => p.poll_results(),
-            AnyPipeline::Sharded(p) => p.poll_results(),
-            AnyPipeline::Remote(p) => p.poll_results(),
-        }
-    }
-
-    fn rebuild(&mut self, plan: &fw_core::QueryPlan, watermark: u64) -> Result<()> {
-        match self {
-            AnyPipeline::Single(p) => p.rebuild(plan, watermark),
-            AnyPipeline::Sharded(p) => p.rebuild(plan, watermark),
-            AnyPipeline::Remote(p) => p.rebuild(plan, watermark),
-        }
-    }
-
-    fn finish(self) -> Result<RunOutput> {
-        match self {
-            AnyPipeline::Single(p) => p.finish(),
-            AnyPipeline::Sharded(p) => p.finish(),
-            AnyPipeline::Remote(p) => p.finish(),
-        }
-    }
-
-    fn watermark(&self) -> u64 {
-        match self {
-            AnyPipeline::Single(p) => p.watermark(),
-            AnyPipeline::Sharded(p) => p.watermark(),
-            AnyPipeline::Remote(p) => p.watermark(),
-        }
-    }
-
-    fn stats(&self) -> ExecStats {
-        match self {
-            AnyPipeline::Single(p) => p.stats(),
-            AnyPipeline::Sharded(p) => p.snapshot().2,
-            AnyPipeline::Remote(p) => p.stats(),
-        }
-    }
-
-    fn interner_stats(&self) -> (u64, u64) {
-        match self {
-            AnyPipeline::Single(p) => p.interner_stats(),
-            AnyPipeline::Sharded(p) => p.interner_stats(),
-            AnyPipeline::Remote(p) => p.interner_stats(),
-        }
-    }
-
-    fn node_profiles(&self) -> Vec<crate::profile::NodeProfile> {
-        match self {
-            AnyPipeline::Single(p) => p.node_profiles(),
-            AnyPipeline::Sharded(p) => p.node_profiles(),
-            AnyPipeline::Remote(p) => p.node_profiles(),
-        }
-    }
-
-    fn buffered(&self) -> usize {
-        match self {
-            AnyPipeline::Single(p) => p.buffered(),
-            AnyPipeline::Sharded(p) => p.buffered(),
-            AnyPipeline::Remote(p) => p.buffered(),
-        }
-    }
-
-    /// Exports a merged, shard-count-free snapshot of the pipeline's state
-    /// (the engine keeps streaming afterwards; see
-    /// `PlanPipeline::export_image`). A remote backend ships a full
-    /// snapshot document, decoded here so every backend's state lands in
-    /// the group checkpoint as the same image bytes.
-    fn export_image(&mut self, plan: &fw_core::QueryPlan) -> CheckpointResult<PipelineImage> {
-        match self {
-            AnyPipeline::Single(p) => p.export_image(plan),
-            AnyPipeline::Sharded(p) => p.export_merged_image(plan),
-            AnyPipeline::Remote(p) => checkpoint::decode_pipeline_doc(&p.export_snapshot(plan)?),
-        }
-    }
-
-    /// Rebuilds a backend from a snapshot at the requested parallelism
-    /// (`shards = 0` selects the single-threaded backend; a factory, when
-    /// injected, wins and receives the image re-encoded as a snapshot
-    /// document). The snapshot is shard-count-free, so any `N → M`
-    /// rescale is legal here.
-    fn restore_image(
-        plan: &fw_core::QueryPlan,
-        opts: PipelineOptions,
-        shards: usize,
-        image: PipelineImage,
-        factory: Option<&Arc<dyn BackendFactory>>,
-    ) -> CheckpointResult<Self> {
-        if let Some(factory) = factory {
-            let doc = checkpoint::encode_pipeline_doc(&image)?;
-            return Ok(AnyPipeline::Remote(factory.restore(plan, opts, &doc)?));
-        }
-        Ok(if shards == 0 {
-            AnyPipeline::Single(Box::new(PlanPipeline::restore_image(plan, opts, image)?))
-        } else {
-            AnyPipeline::Sharded(ShardedPipeline::restore_image(plan, opts, shards, image)?)
-        })
-    }
-}
-
 /// One member pipeline of the per-query strategy.
 #[derive(Debug)]
 struct MemberExec {
     id: QueryId,
     since: u64,
-    pipeline: AnyPipeline,
+    pipeline: Box<dyn ExecBackend>,
 }
 
-// One Backend per group: the size spread between the inline shared
-// pipeline and the member vector is irrelevant at that population.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum Backend {
-    Shared(AnyPipeline),
+    Shared(Box<dyn ExecBackend>),
     PerQuery(Vec<MemberExec>),
 }
 
@@ -420,15 +291,9 @@ pub struct GroupExec {
     /// at 0) must not drag the group watermark backwards.
     horizon: u64,
     opts: PipelineOptions,
-    shards: usize,
-    /// Whether per-query member pipelines compile on the slot-based group
-    /// core so they can be checkpointed ([`Self::compile_durable`]). The
-    /// shared backend always can.
-    durable: bool,
-    /// Injected backend constructor ([`Self::compile_with_backend`]);
-    /// kept so per-query rebuilds compile arriving members on the same
-    /// backend the group started on. `None` runs in process.
-    factory: Option<Arc<dyn BackendFactory>>,
+    /// Constructs every pipeline the group runs, so per-query rebuilds
+    /// compile arriving members on the same backend the group started on.
+    factory: Arc<dyn BackendFactory>,
 }
 
 impl std::fmt::Debug for GroupExec {
@@ -446,16 +311,7 @@ impl GroupExec {
     /// backend; `shards ≥ 1` the key-partitioned one. The shared strategy
     /// requires the plan to carry a merged [`fw_core::SharedPlan`].
     pub fn compile(plan: &GroupPlan, opts: PipelineOptions, shards: usize) -> Result<Self> {
-        Self::compile_with(plan, opts, shards, false, None)
-    }
-
-    /// Compiles a group plan whose state can be checkpointed. Identical to
-    /// [`Self::compile`] except that per-query member pipelines also go
-    /// through the slot-based group core — the only backend that can
-    /// export its pane state (see [`Self::checkpoint`]). Shared-strategy
-    /// groups are always durable.
-    pub fn compile_durable(plan: &GroupPlan, opts: PipelineOptions, shards: usize) -> Result<Self> {
-        Self::compile_with(plan, opts, shards, true, None)
+        Self::compile_with_backend(plan, opts, Arc::new(InProcess { shards }))
     }
 
     /// Compiles a group plan onto an injected [`BackendFactory`]: every
@@ -465,35 +321,18 @@ impl GroupExec {
     /// in-process engine. This is how the group's route table becomes the
     /// multi-tenant unit of distribution: routing, registration
     /// boundaries, and `since` filters stay coordinator-side while the
-    /// pane flow itself runs wherever the factory puts it. Always
-    /// durable (a factory backend must be able to export its snapshot).
+    /// pane flow itself runs wherever the factory puts it.
     pub fn compile_with_backend(
         plan: &GroupPlan,
         opts: PipelineOptions,
         factory: Arc<dyn BackendFactory>,
-    ) -> Result<Self> {
-        Self::compile_with(plan, opts, 0, true, Some(factory))
-    }
-
-    fn compile_with(
-        plan: &GroupPlan,
-        opts: PipelineOptions,
-        shards: usize,
-        durable: bool,
-        factory: Option<Arc<dyn BackendFactory>>,
     ) -> Result<Self> {
         let (backend, routes) = match plan.strategy {
             GroupStrategy::Shared => {
                 let shared = plan.shared.as_ref().ok_or_else(|| {
                     EngineError::InvalidPlan("shared strategy without a merged plan".to_string())
                 })?;
-                let pipeline = AnyPipeline::compile(
-                    &shared.bundle.plan,
-                    opts,
-                    shards,
-                    true,
-                    factory.as_ref(),
-                )?;
+                let pipeline = factory.compile(&shared.bundle.plan, opts)?;
                 (Backend::Shared(pipeline), RouteIndex::new(&shared.routes))
             }
             GroupStrategy::PerQuery => {
@@ -502,13 +341,7 @@ impl GroupExec {
                     members.push(MemberExec {
                         id: member.id,
                         since: member.since,
-                        pipeline: AnyPipeline::compile(
-                            &member.bundle.plan,
-                            opts,
-                            shards,
-                            durable,
-                            factory.as_ref(),
-                        )?,
+                        pipeline: factory.compile(&member.bundle.plan, opts)?,
                     });
                 }
                 (Backend::PerQuery(members), RouteIndex::new(&[]))
@@ -523,8 +356,6 @@ impl GroupExec {
             replans: 0,
             horizon: 0,
             opts,
-            shards,
-            durable,
             factory,
         })
     }
@@ -760,13 +591,7 @@ impl GroupExec {
                     arriving.push(MemberExec {
                         id: member.id,
                         since: member.since,
-                        pipeline: AnyPipeline::compile(
-                            &member.bundle.plan,
-                            self.opts,
-                            self.shards,
-                            self.durable,
-                            self.factory.as_ref(),
-                        )?,
+                        pipeline: self.factory.compile(&member.bundle.plan, self.opts)?,
                     });
                 }
                 // Departing members: seal to the boundary and capture
@@ -801,11 +626,6 @@ impl GroupExec {
     /// backend pipeline's pane state — and keeps streaming. `plan` must be
     /// the [`GroupPlan`] the group is currently executing (slot indices
     /// and member plans are read from it; they are never serialized).
-    ///
-    /// Per-query groups must have been compiled with
-    /// [`Self::compile_durable`]; otherwise the member pipelines cannot
-    /// export their state and this fails with
-    /// [`CheckpointError::Unsupported`].
     pub fn checkpoint<W: std::io::Write + ?Sized>(
         &mut self,
         plan: &GroupPlan,
@@ -841,7 +661,7 @@ impl GroupExec {
                 let shared = plan.shared.as_ref().ok_or(CheckpointError::BadValue {
                     what: "shared strategy without a merged plan",
                 })?;
-                pipeline.export_image(&shared.bundle.plan)?.encode(w)?;
+                put_image(w, pipeline.as_mut(), &shared.bundle.plan)?;
             }
             Backend::PerQuery(members) => {
                 checkpoint::put_u32(w, checkpoint::count_u32(members.len(), "group members")?)?;
@@ -853,10 +673,7 @@ impl GroupExec {
                     )?;
                     checkpoint::put_u32(w, member.id.0)?;
                     checkpoint::put_u64(w, member.since)?;
-                    member
-                        .pipeline
-                        .export_image(&member_plan.bundle.plan)?
-                        .encode(w)?;
+                    put_image(w, member.pipeline.as_mut(), &member_plan.bundle.plan)?;
                 }
             }
         }
@@ -869,16 +686,13 @@ impl GroupExec {
     /// under; the snapshot itself carries no shard count, so `shards` may
     /// differ freely from the checkpointing run — pane state is re-hashed
     /// onto the new layout and results are byte-identical for any rescale.
-    ///
-    /// The restored group is durable regardless of how the original was
-    /// compiled (restoring proves every pipeline state is exportable).
     pub fn restore<R: std::io::Read + ?Sized>(
         plan: &GroupPlan,
         opts: PipelineOptions,
         shards: usize,
         r: &mut R,
     ) -> CheckpointResult<Self> {
-        Self::restore_with(plan, opts, shards, None, r)
+        Self::restore_with_backend(plan, opts, Arc::new(InProcess { shards }), r)
     }
 
     /// Rebuilds a group from a [`Self::checkpoint`] snapshot onto an
@@ -889,16 +703,6 @@ impl GroupExec {
         plan: &GroupPlan,
         opts: PipelineOptions,
         factory: Arc<dyn BackendFactory>,
-        r: &mut R,
-    ) -> CheckpointResult<Self> {
-        Self::restore_with(plan, opts, 0, Some(factory), r)
-    }
-
-    fn restore_with<R: std::io::Read + ?Sized>(
-        plan: &GroupPlan,
-        opts: PipelineOptions,
-        shards: usize,
-        factory: Option<Arc<dyn BackendFactory>>,
         r: &mut R,
     ) -> CheckpointResult<Self> {
         let version = checkpoint::read_header(r, checkpoint::KIND_GROUP)?;
@@ -928,14 +732,8 @@ impl GroupExec {
                 let shared = plan.shared.as_ref().ok_or(CheckpointError::BadValue {
                     what: "shared strategy without a merged plan",
                 })?;
-                let image = PipelineImage::decode(r, version)?;
-                let pipeline = AnyPipeline::restore_image(
-                    &shared.bundle.plan,
-                    opts,
-                    shards,
-                    image,
-                    factory.as_ref(),
-                )?;
+                let doc = get_image(r, version)?;
+                let pipeline = factory.restore(&shared.bundle.plan, opts, &doc)?;
                 (Backend::Shared(pipeline), RouteIndex::new(&shared.routes))
             }
             GroupStrategy::PerQuery => {
@@ -954,17 +752,11 @@ impl GroupExec {
                             what: "checkpointed member is absent from the group plan",
                         },
                     )?;
-                    let image = PipelineImage::decode(r, version)?;
+                    let doc = get_image(r, version)?;
                     members.push(MemberExec {
                         id,
                         since,
-                        pipeline: AnyPipeline::restore_image(
-                            &member_plan.bundle.plan,
-                            opts,
-                            shards,
-                            image,
-                            factory.as_ref(),
-                        )?,
+                        pipeline: factory.restore(&member_plan.bundle.plan, opts, &doc)?,
                     });
                 }
                 (Backend::PerQuery(members), RouteIndex::new(&[]))
@@ -979,8 +771,6 @@ impl GroupExec {
             replans,
             horizon,
             opts,
-            shards,
-            durable: true,
             factory,
         })
     }
@@ -1017,6 +807,23 @@ impl GroupExec {
             elapsed,
         })
     }
+}
+
+/// Writes one backend's state into a group container as a bare image
+/// body. Every backend ships a full snapshot document; decoding it here
+/// validates it before it is embedded.
+fn put_image<W: std::io::Write + ?Sized>(
+    w: &mut W,
+    pipeline: &mut dyn ExecBackend,
+    plan: &QueryPlan,
+) -> CheckpointResult<()> {
+    checkpoint::decode_pipeline_doc(&pipeline.export_snapshot(plan)?)?.encode(w)
+}
+
+/// Reads one image body out of a group container and re-wraps it as the
+/// snapshot document [`BackendFactory::restore`] takes.
+fn get_image<R: std::io::Read + ?Sized>(r: &mut R, version: u8) -> CheckpointResult<Vec<u8>> {
+    checkpoint::encode_pipeline_doc(&PipelineImage::decode(r, version)?)
 }
 
 /// Tags a member pipeline's own results with its id, applying the

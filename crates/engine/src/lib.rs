@@ -37,6 +37,7 @@
 pub mod agg;
 pub mod batch;
 pub mod checkpoint;
+mod driver;
 pub mod error;
 pub mod event;
 pub mod executor;
@@ -59,14 +60,7 @@ pub use checkpoint::{
 };
 pub use error::{EngineError, Result};
 pub use event::{sorted_results, Event, ResultSink, WindowResult};
-// The deprecated batch wrappers `executor::execute` / `executor::execute_with`
-// remain available under the `executor` module for external callers, but are
-// no longer re-exported at the crate root: everything internal (and every
-// new consumer) goes through `PlanPipeline` or the `factor_windows::Session`
-// façade.
-pub use executor::{
-    ExecOptions, ExecStats, PipelineOptions, PlanPipeline, RunOutput, PROFILE_CLOCK_STRIDE,
-};
+pub use executor::{ExecStats, PipelineOptions, PlanPipeline, RunOutput, PROFILE_CLOCK_STRIDE};
 pub use fasthash::{FastBuildHasher, FastMap, FastU32BuildHasher, FastU32Map};
 pub use group::{
     sorted_group_results, BackendFactory, ExecBackend, GroupExec, GroupResult, GroupRunOutput,

@@ -17,113 +17,20 @@
 //! events for its holistic slots and parent panes for the rest. Factor
 //! (hidden) windows never materialize holistic state.
 //!
-//! Cost accounting attributes pane work once: [`ExecStats::updates`] and
-//! [`ExecStats::combines`] count pane elements exactly as a
+//! Cost accounting attributes pane work once: `ExecStats::updates` and
+//! `ExecStats::combines` count pane elements exactly as a
 //! single-aggregate pipeline would, and the per-slot fan-out is reported
-//! separately as [`ExecStats::agg_ops`].
+//! separately as `ExecStats::agg_ops`.
+//!
+//! This module is the multi-term pane layout; the execution driver it
+//! plugs into is the crate-private `driver::Core`.
 
 use crate::agg::{Aggregate, AvgAgg, CountAgg, MaxAgg, MedianAgg, MinAgg, SumAgg, SumCount};
+use crate::driver::{init_slot, KeyedPane, PaneLayout, Slot, Store};
 use crate::error::{EngineError, Result};
 use crate::event::{ResultSink, WindowResult};
-use crate::executor::ExecStats;
-use crate::pane::{element_work, PaneDeque};
-use crate::profile::{NodeProfile, ProfileLevel};
+use crate::pane::element_work;
 use fw_core::{AggregateClass, AggregateFunction, Interval, QueryPlan, Window};
-use std::time::Instant;
-
-/// Exported execution state of a slot-based core, captured at a watermark
-/// boundary for a live plan swap (`PlanPipeline::rebuild`).
-///
-/// Export first cascades every *in-flight* open pane down the
-/// sub-aggregate forest ([`MultiCore::flush_open`]) so that each exposed
-/// window's open instances hold **every** event observed so far — whether
-/// it arrived raw or was still buffered inside a parent/factor window's
-/// unsealed pane. Only exposed windows are then exported: the new plan's
-/// internal topology (factor windows, feed edges) may be entirely
-/// different, and its fresh internal state will deliver exactly the events
-/// *after* the boundary, so migrated instances (events before) plus fresh
-/// flow (events after) reconstruct every instance exactly once.
-///
-/// Slots are identified by `(function, column)` so state survives a slot
-/// list that grows, shrinks, or reorders across the swap; slots new to the
-/// plan initialize fresh (their partial instances are suppressed by the
-/// group routing layer's `since` filter).
-pub(crate) struct GroupState {
-    /// Ordering watermark of the exporting core.
-    pub(crate) watermark: u64,
-    /// Maximum event time the exporting core has folded.
-    pub(crate) last_event_time: u64,
-    /// Slot identities of the exporting core, slot-indexed.
-    pub(crate) slots: Vec<(AggregateFunction, String)>,
-    /// Open panes of every exposed window: `(window, [(instance,
-    /// key-addressed rows)])`. Rows travel keyed by raw key and sorted by
-    /// it, so exported state is neutral to any core's slot assignment —
-    /// the adopting core re-interns on its own table.
-    pub(crate) windows: Vec<(Window, Vec<(u64, KeyedPane)>)>,
-}
-
-/// One accumulator slot, dispatching to the existing [`Aggregate`] impls.
-/// Crate-visible so the checkpoint codec can serialize pane state
-/// shape-checked against each slot's aggregate function.
-#[derive(Debug, Clone)]
-pub(crate) enum Slot {
-    /// MIN / MAX / SUM state.
-    F64(f64),
-    /// COUNT state.
-    U64(u64),
-    /// AVG state.
-    SumCount(SumCount),
-    /// MEDIAN state (holistic: the full multiset).
-    Values(Vec<f64>),
-}
-
-fn init_slot(f: AggregateFunction) -> Slot {
-    match f {
-        AggregateFunction::Min => Slot::F64(MinAgg::init()),
-        AggregateFunction::Max => Slot::F64(MaxAgg::init()),
-        AggregateFunction::Sum => Slot::F64(SumAgg::init()),
-        AggregateFunction::Count => Slot::U64(CountAgg::init()),
-        AggregateFunction::Avg => Slot::SumCount(AvgAgg::init()),
-        AggregateFunction::Median => Slot::Values(MedianAgg::init()),
-    }
-}
-
-fn combine_slot(f: AggregateFunction, into: &mut Slot, from: &Slot) {
-    match (f, into, from) {
-        (AggregateFunction::Min, Slot::F64(a), Slot::F64(b)) => MinAgg::combine(a, b),
-        (AggregateFunction::Max, Slot::F64(a), Slot::F64(b)) => MaxAgg::combine(a, b),
-        (AggregateFunction::Sum, Slot::F64(a), Slot::F64(b)) => SumAgg::combine(a, b),
-        (AggregateFunction::Count, Slot::U64(a), Slot::U64(b)) => CountAgg::combine(a, b),
-        (AggregateFunction::Avg, Slot::SumCount(a), Slot::SumCount(b)) => AvgAgg::combine(a, b),
-        (AggregateFunction::Median, ..) => {
-            unreachable!("holistic slots are raw-fed, never combined")
-        }
-        _ => unreachable!("slot shape is fixed at init"),
-    }
-}
-
-/// Folds a carried-over (pre-plan-swap) accumulator into a live one at
-/// emission time. Identical to [`combine_slot`] for combinable functions;
-/// holistic state merges by concatenation — this is an emission-side
-/// merge of two halves of the *same* instance, not sub-aggregate
-/// composition, so it is sound for every function class.
-fn merge_slot(f: AggregateFunction, into: &mut Slot, from: &Slot) {
-    match (f, into, from) {
-        (AggregateFunction::Median, Slot::Values(a), Slot::Values(b)) => a.extend_from_slice(b),
-        (f, into, from) => combine_slot(f, into, from),
-    }
-}
-
-/// Per-key multi-accumulators for one window instance: one slot per
-/// aggregate term, in SELECT-list order. This is the *interchange* row
-/// format — state migration ([`GroupState`]) and the checkpoint codec
-/// speak rows keyed by raw key; live panes hold the same state as SoA
-/// columns ([`MultiPane`]).
-pub(crate) type MultiAcc = Box<[Slot]>;
-
-/// Key-addressed pane rows: `(raw key, row)` pairs, the migration and
-/// checkpoint representation of one instance's state.
-pub(crate) type KeyedPane = Vec<(u32, MultiAcc)>;
 
 /// One aggregate term's accumulator column, slot-indexed (the SoA
 /// counterpart of one [`Slot`] position across every key).
@@ -250,20 +157,14 @@ impl SlotCol {
         }
     }
 
-    /// Emission-side merge of two halves of the same instance (see
-    /// [`merge_slot`]): combine for combinable functions, multiset
-    /// concatenation for the holistic column.
+    /// Emission-side merge of slot `i` of `src` — the carried half of the
+    /// same instance — into slot `i` of `self`: combine for combinable
+    /// functions, multiset concatenation for the holistic column.
     #[inline]
-    fn merge_at(&mut self, f: AggregateFunction, i: usize, src: &Slot) {
-        match (f, self, src) {
-            (AggregateFunction::Median, SlotCol::Values(a), Slot::Values(b)) => {
-                a[i].extend_from_slice(b);
-            }
-            (f, col, src) => {
-                let mut current = col.read(i);
-                merge_slot(f, &mut current, src);
-                col.write(i, &current);
-            }
+    fn merge_at(&mut self, f: AggregateFunction, i: usize, src: &SlotCol) {
+        match (self, src) {
+            (SlotCol::Values(a), SlotCol::Values(b)) => a[i].extend_from_slice(&b[i]),
+            (col, src) => col.combine_at(f, i, src),
         }
     }
 
@@ -303,8 +204,8 @@ pub(crate) struct MultiPane {
 
 impl crate::pane::PaneState for MultiPane {
     #[inline]
-    fn is_empty(&self) -> bool {
-        self.touched.is_empty()
+    fn len(&self) -> usize {
+        self.touched.len()
     }
     #[inline]
     fn clear(&mut self) {
@@ -319,12 +220,6 @@ impl crate::pane::PaneState for MultiPane {
 }
 
 impl MultiPane {
-    /// Number of live keys this epoch.
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.touched.len()
-    }
-
     /// Marks `slot` live, lazily building the columns on a pane's first
     /// ever use and re-initializing the slot's accumulators on first
     /// touch this epoch.
@@ -351,219 +246,88 @@ impl MultiPane {
             }
         }
     }
-
-    /// Reads the row at `slot` in interchange format.
-    fn read_row(&self, slot: u32) -> MultiAcc {
-        self.cols.iter().map(|c| c.read(slot as usize)).collect()
-    }
-
-    /// Writes an interchange row into `slot` (occupying it).
-    fn write_row(&mut self, slot: u32, acc: &MultiAcc, funcs: &[AggregateFunction]) {
-        self.touch(slot, funcs);
-        for (col, slot_val) in self.cols.iter_mut().zip(acc.iter()) {
-            col.write(slot as usize, slot_val);
-        }
-    }
-
-    /// Materializes the pane as key-addressed rows, sorted by raw key
-    /// (the canonical, parallelism-neutral order), via the interner's
-    /// slot→key table.
-    fn to_entries(&self, slot_keys: &[u32]) -> KeyedPane {
-        let mut entries: KeyedPane = self
-            .touched
-            .iter()
-            .map(|&s| (slot_keys[s as usize], self.read_row(s)))
-            .collect();
-        entries.sort_by_key(|&(key, _)| key);
-        entries
-    }
-
-    /// Folds the carried half of an instance in (emission-side merge; see
-    /// [`merge_slot`]). Both panes are slot-aligned through the same
-    /// interner.
-    fn merge_from(&mut self, carried: &MultiPane, funcs: &[AggregateFunction]) {
-        for &slot in &carried.touched {
-            self.touch(slot, funcs);
-            for (j, col) in self.cols.iter_mut().enumerate() {
-                col.merge_at(
-                    funcs[j],
-                    slot as usize,
-                    &carried.cols[j].read(slot as usize),
-                );
-            }
-        }
-    }
 }
 
-/// The open instances of one multi-aggregate window operator: the shared
-/// [`PaneDeque`] bookkeeping (identical sealing, fast-forward, and
-/// spare-pane recycling as the single-aggregate [`crate::pane::PaneStore`])
-/// plus per-slot accumulator semantics and pane-level cost accounting
-/// (one `update`/`combine` per element, however many slots the element
-/// fans out to).
-struct MultiStore {
-    deque: PaneDeque<MultiPane>,
-    /// Carried-over panes from a live plan swap, for open instances of
-    /// operators that feed children — ascending by instance index, held
-    /// *outside* the regular deque so sealing can cascade only the
-    /// post-swap pane to children and fold the pre-swap half in just
-    /// before emission (see [`MultiCore::adopt`]). Pre-swap contributions
-    /// already reached every descendant through the export-time flush;
-    /// cascading them again would double-count (fatal for SUM/COUNT/AVG).
-    carry: Vec<(u64, MultiPane)>,
-    /// All aggregate terms' functions, slot-indexed (SELECT-list order).
+/// The multi-term pane layout: every pane is a [`MultiPane`], maintained
+/// once per element however many aggregate terms ride it.
+pub(crate) struct MultiLayout {
+    /// All aggregate terms' functions, term-indexed (SELECT-list order).
     funcs: Box<[AggregateFunction]>,
-    /// Slot indices raw events update at this operator: every slot on a
-    /// raw-fed operator, the holistic slots on a sub-aggregate-fed exposed
-    /// operator, empty on a sub-aggregate-fed factor operator.
-    raw_mask: Box<[usize]>,
-    /// Slot indices parent panes combine into (the combinable terms).
-    combine_mask: Box<[usize]>,
-    work: u32,
-    work_sink: u64,
-    /// Pane-level raw updates (counted once per element, not per slot).
-    updates: u64,
-    /// Pane-level sub-aggregate combines (once per element, not per slot).
-    combines: u64,
-    /// Per-slot accumulator operations (the fan-out the pane work feeds).
-    agg_ops: u64,
-    /// Instances sealed at this operator (profiling; counters level).
-    seals: u64,
-    /// Result rows emitted from this operator (profiling; counters level).
-    emitted: u64,
-    /// High-water of live entries in any sealing pane (profiling).
-    pane_live_hw: u64,
-    /// Sampled nanoseconds attributed to this operator (timed level).
-    nanos: u64,
+    /// Term indices parent panes combine into (the combinable terms).
+    combinable: Box<[usize]>,
 }
 
-impl MultiStore {
-    fn new(
-        window: Window,
-        funcs: Box<[AggregateFunction]>,
-        raw_mask: Box<[usize]>,
-        combine_mask: Box<[usize]>,
-        work: u32,
-    ) -> Self {
-        MultiStore {
-            deque: PaneDeque::new(window),
-            carry: Vec::new(),
-            funcs,
-            raw_mask,
-            combine_mask,
-            work,
-            work_sink: 0,
-            updates: 0,
-            combines: 0,
-            agg_ops: 0,
-            seals: 0,
-            emitted: 0,
-            pane_live_hw: 0,
-            nanos: 0,
-        }
+/// Per-operator routing of the multi-term layout.
+pub(crate) struct MultiOp {
+    /// Term indices raw events update at this operator: every term on a
+    /// raw-fed exposed operator, the combinable terms on a raw-fed factor
+    /// operator, the holistic terms on a sub-aggregate-fed exposed
+    /// operator, none on a sub-aggregate-fed factor operator.
+    raw_mask: Box<[usize]>,
+}
+
+impl PaneLayout for MultiLayout {
+    type Pane = MultiPane;
+    type Op = MultiOp;
+
+    fn new(plan: &QueryPlan) -> Self {
+        let funcs: Box<[AggregateFunction]> =
+            plan.aggregates().iter().map(|s| s.function()).collect();
+        let combinable = (0..funcs.len())
+            .filter(|&j| funcs[j].class() != AggregateClass::Holistic)
+            .collect();
+        MultiLayout { funcs, combinable }
     }
 
-    #[inline]
-    fn front_end(&self) -> u64 {
-        self.deque.front_end()
+    fn op(&self, exposed: bool, sub_fed: bool) -> Result<(MultiOp, bool)> {
+        let terms = 0..self.funcs.len();
+        let raw_mask: Box<[usize]> = match (sub_fed, exposed) {
+            // Raw-fed: every term living at this operator shares the pane
+            // feed. Factor operators carry combinable terms only.
+            (false, true) => terms.collect(),
+            (false, false) => self.combinable.clone(),
+            (true, _) if self.combinable.is_empty() => {
+                return Err(EngineError::HolisticSubAggregate {
+                    function: self.funcs[0].name(),
+                });
+            }
+            // Sub-aggregate-fed: combinable terms arrive as parent panes;
+            // holistic terms (exposed operators only) ride raw.
+            (true, true) => terms.filter(|j| !self.combinable.contains(j)).collect(),
+            (true, false) => Box::default(),
+        };
+        let raw_fed = !raw_mask.is_empty();
+        Ok((MultiOp { raw_mask }, raw_fed))
     }
 
-    /// Records one sealed instance with `live` occupied entries
-    /// (profiling, counters level).
-    #[inline]
-    fn note_seal(&mut self, live: u64) {
-        self.seals += 1;
-        self.pane_live_hw = self.pane_live_hw.max(live);
-    }
-
-    /// Adds sampled nanoseconds to this operator (profiling, timed level).
-    #[inline]
-    fn add_nanos(&mut self, ns: u64) {
-        self.nanos += ns;
-    }
-
-    /// Copies this operator's observed counters into a [`NodeProfile`]
-    /// (identity fields are the caller's responsibility). The slot
-    /// fan-out ships as `agg_ops` — the multi core maintains it directly
-    /// rather than deriving it from `updates + combines`.
-    fn profile_into(&self, p: &mut NodeProfile) {
-        p.updates += self.updates;
-        p.combines += self.combines;
-        p.agg_ops += self.agg_ops;
-        p.seals += self.seals;
-        p.emitted += self.emitted;
-        p.pane_live_hw = p.pane_live_hw.max(self.pane_live_hw);
-        p.nanos += self.nanos;
-    }
-
-    /// Positions the store at its next due instance, taking carried-over
-    /// panes into account: an instance whose only content is carry must
-    /// still seal (the plain skip-empty fast-forward would drop it).
-    fn next_due(&mut self, watermark: u64) -> Option<Interval> {
-        match self.carry.first() {
-            None => self.deque.prepare_due(watermark),
-            Some(&(stop, _)) => self.deque.prepare_due_upto(watermark, stop),
-        }
-    }
-
-    /// Folds the carried pane for instance `m` (if any) into the front
-    /// pane — called after the instance cascaded to children and before
-    /// it is emitted, so children only ever see post-swap contributions.
-    fn merge_carry_front(&mut self, m: u64) {
-        if !matches!(self.carry.first(), Some(&(m0, _)) if m0 == m) {
-            return;
-        }
-        let (_, carried) = self.carry.remove(0);
-        let funcs = self.funcs.clone();
-        self.deque.pane_mut(m).merge_from(&carried, &funcs);
-    }
-
-    /// True when the store holds no live state at all: every open pane is
-    /// empty and no carried-over swap state is parked. Carried panes are
-    /// slot-addressed, so compaction must also wait for them to drain.
-    fn is_idle(&self) -> bool {
-        self.carry.is_empty() && self.deque.is_idle()
-    }
-
-    /// Frees slab capacity sized to a retired slot space (see
-    /// [`PaneDeque::compact`]); callers must hold the idle condition.
-    fn compact(&mut self) {
-        self.deque.compact();
-    }
-
-    /// Folds a *run* of raw events — column slices whose timestamps are
-    /// non-decreasing and all route to the same instance set, with keys
-    /// pre-translated to dense slots — into those instances, updating the
-    /// operator's raw-fed slots. The instance arithmetic is paid once per
-    /// run and each key sub-run resolves its accumulator columns once,
-    /// then folds through the columnar kernels ([`SlotCol::fold_run`]) —
-    /// zero hash probes. The emulated element-work loop runs separately
-    /// from the value folds; its sink is combined by XOR, so the split is
-    /// order-insensitive, while the value folds keep strict per-element
-    /// order for the order-sensitive kernels (SUM/AVG). Per-element
-    /// accounting (pane work counted once per element, `agg_ops` per slot
-    /// fan-out) is unchanged.
-    fn update_run(&mut self, times: &[u64], keys: &[u32], slots: &[u32], values: &[f64]) {
+    /// The instance arithmetic is paid once per run and each key sub-run
+    /// resolves its accumulator columns once, then folds through the
+    /// columnar kernels ([`SlotCol::fold_run`]) — zero hash probes. The
+    /// emulated element-work loop runs separately from the value folds;
+    /// its sink is combined by XOR, so the split is order-insensitive,
+    /// while the value folds keep strict per-element order for the
+    /// order-sensitive kernels (SUM/AVG). Pane work is counted once per
+    /// element, `agg_ops` once per term it fans out to.
+    fn update_run(&self, store: &mut Store<Self>, times: &[u64], slots: &[u32], values: &[f64]) {
         debug_assert!(!times.is_empty());
-        debug_assert!(times.len() == keys.len() && times.len() == values.len());
-        debug_assert!(times.len() == slots.len());
-        let window = *self.deque.window();
+        debug_assert!(times.len() == slots.len() && times.len() == values.len());
+        let window = *store.deque.window();
         let instances = window.instances_containing(times[0]);
         debug_assert_eq!(
             window.instances_containing(times[times.len() - 1]),
             instances,
             "run crosses a slide boundary"
         );
-        let work = self.work;
-        let mut work_sink = self.work_sink;
+        let work = store.work;
+        let mut work_sink = store.work_sink;
         let mut folded = 0u64;
         for m in instances {
             for &t in times {
                 work_sink ^= element_work(t ^ m, work);
             }
             let funcs = &self.funcs;
-            let raw_mask = &self.raw_mask;
-            let pane = self.deque.pane_mut(m);
+            let raw_mask = &store.op.raw_mask;
+            let pane = store.deque.pane_mut(m);
             let mut k = 0;
             while k < slots.len() {
                 let slot = slots[k];
@@ -580,630 +344,101 @@ impl MultiStore {
             }
             folded += times.len() as u64;
         }
-        self.updates += folded;
-        self.agg_ops += folded * self.raw_mask.len() as u64;
-        self.work_sink = work_sink;
+        store.updates += folded;
+        store.agg_ops += folded * store.op.raw_mask.len() as u64;
+        store.work_sink = work_sink;
     }
 
-    /// Folds a whole upstream pane into every instance containing `iv`,
-    /// combining the combinable slots only (holistic slots are raw-fed and
-    /// must never inherit parent state). Both panes are slot-aligned
-    /// through the shared interner, so the merge is a linear walk of the
-    /// source's live slots; `slot_keys` (the interner's slot→key table)
-    /// recovers raw keys for the emulated element-work seed. The work
-    /// parameters are resolved once per call, outside the instance loop.
+    /// Combines the combinable terms only (holistic terms are raw-fed and
+    /// must never inherit parent state). The merge is a linear walk of
+    /// the source's live slots; `slot_keys` recovers raw keys for the
+    /// emulated element-work seed. The work parameters are resolved once
+    /// per call, outside the instance loop.
     #[inline]
-    fn combine_pane(&mut self, iv: &Interval, source: &MultiPane, slot_keys: &[u32]) {
-        let window = *self.deque.window();
-        let work = self.work;
-        let mut sink = self.work_sink;
+    fn combine_pane(
+        &self,
+        store: &mut Store<Self>,
+        iv: &Interval,
+        source: &MultiPane,
+        slot_keys: &[u32],
+    ) {
+        let window = *store.deque.window();
+        let work = store.work;
+        let mut sink = store.work_sink;
+        let live = source.touched.len() as u64;
         for m in window.instances_containing_interval(iv) {
-            self.combines += source.len() as u64;
-            self.agg_ops += source.len() as u64 * self.combine_mask.len() as u64;
+            store.combines += live;
+            store.agg_ops += live * self.combinable.len() as u64;
             let funcs = &self.funcs;
-            let combine_mask = &self.combine_mask;
-            let pane = self.deque.pane_mut(m);
+            let pane = store.deque.pane_mut(m);
             for &slot in &source.touched {
                 sink ^= element_work(m ^ u64::from(slot_keys[slot as usize]), work);
                 pane.touch(slot, funcs);
-                for &j in combine_mask.iter() {
+                for &j in self.combinable.iter() {
                     pane.cols[j].combine_at(funcs[j], slot as usize, &source.cols[j]);
                 }
             }
         }
-        self.work_sink = sink;
-    }
-}
-
-/// The compiled physical pipeline for a multi-aggregate plan: the
-/// [`crate::executor::PlanPipeline`] core used whenever a plan carries
-/// more than one aggregate term (single-term plans keep the monomorphized
-/// per-function cores and are byte-identical to the pre-multi engine).
-pub(crate) struct MultiCore {
-    stores: Vec<MultiStore>,
-    windows: Vec<Window>,
-    exposed: Vec<bool>,
-    children: Vec<Vec<usize>>,
-    /// Operators that receive raw events (non-empty `raw_mask`).
-    raw_ops: Vec<usize>,
-    /// Plan node id of each operator (op-indexed) — the stable identity
-    /// per-node profiles report under.
-    node_ids: Vec<usize>,
-    /// Per-node instrumentation level this core was compiled with.
-    profile: ProfileLevel,
-    /// Seal passes observed (drives the sampled per-node clock).
-    seal_passes: u64,
-    /// Feed batches observed (drives the sampled per-node clock).
-    feed_passes: u64,
-    /// Interner compactions performed by this core.
-    compactions: u64,
-    funcs: Box<[AggregateFunction]>,
-    /// Slot identities (`(function, column)`), slot-indexed — the key
-    /// state migration matches slots by across plan swaps.
-    term_ids: Vec<(AggregateFunction, String)>,
-    /// Key → dense slot, shared by every store so parent and child panes
-    /// align slot-for-slot and combines are linear merges.
-    interner: crate::slab::KeyInterner,
-    /// Per-batch key→slot translation buffer (reused; ingress-only).
-    slot_buf: Vec<u32>,
-    /// Largest live-entry count seen in a sealing pane since the last
-    /// compaction (see `Typed::maybe_compact`).
-    peak_pane_live: usize,
-    /// `fed` at the last compaction (spacing guard against thrash).
-    last_compact_fed: u64,
-    /// Interner high-water `(slots, bytes)` across compactions.
-    interner_hw: (u64, u64),
-    watermark: u64,
-    deadline: u64,
-    results_emitted: u64,
-    fed: u64,
-    last_event_time: u64,
-}
-
-impl MultiCore {
-    pub(crate) fn compile(
-        plan: &QueryPlan,
-        element_work: u32,
-        profile: ProfileLevel,
-    ) -> Result<Self> {
-        plan.validate().map_err(EngineError::InvalidPlan)?;
-        let funcs: Box<[AggregateFunction]> =
-            plan.aggregates().iter().map(|s| s.function()).collect();
-        let term_ids: Vec<(AggregateFunction, String)> = plan
-            .aggregates()
-            .iter()
-            .map(|s| (s.function(), s.column().to_string()))
-            .collect();
-        let combinable: Vec<usize> = funcs
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.class() != AggregateClass::Holistic)
-            .map(|(j, _)| j)
-            .collect();
-        let holistic: Vec<usize> = funcs
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.class() == AggregateClass::Holistic)
-            .map(|(j, _)| j)
-            .collect();
-
-        let node_ids: Vec<usize> = plan.window_nodes().collect();
-        let op_of = |node: usize| {
-            node_ids
-                .iter()
-                .position(|&n| n == node)
-                .expect("window node")
-        };
-
-        let mut windows = Vec::with_capacity(node_ids.len());
-        let mut exposed = Vec::with_capacity(node_ids.len());
-        let mut children = vec![Vec::new(); node_ids.len()];
-        let mut raw_ops = Vec::new();
-        let mut stores = Vec::with_capacity(node_ids.len());
-        for (op, &node) in node_ids.iter().enumerate() {
-            let window = *plan.window_at(node).expect("window node");
-            let is_exposed = plan.is_exposed(node);
-            windows.push(window);
-            exposed.push(is_exposed);
-            let raw_mask: Vec<usize> = match plan.feeding_window(node) {
-                // Raw-fed: every slot living at this operator shares the
-                // pane feed. Factor operators carry combinable slots only.
-                None => {
-                    if is_exposed {
-                        (0..funcs.len()).collect()
-                    } else {
-                        combinable.clone()
-                    }
-                }
-                // Sub-aggregate-fed: combinable slots arrive as parent
-                // panes; holistic slots (exposed operators only) ride raw.
-                Some(parent) => {
-                    if combinable.is_empty() {
-                        return Err(EngineError::HolisticSubAggregate {
-                            function: funcs[holistic[0]].name(),
-                        });
-                    }
-                    children[op_of(parent)].push(op);
-                    if is_exposed {
-                        holistic.clone()
-                    } else {
-                        Vec::new()
-                    }
-                }
-            };
-            if !raw_mask.is_empty() {
-                raw_ops.push(op);
-            }
-            stores.push(MultiStore::new(
-                window,
-                funcs.clone(),
-                raw_mask.into_boxed_slice(),
-                combinable.clone().into_boxed_slice(),
-                element_work,
-            ));
-        }
-        let mut core = MultiCore {
-            stores,
-            windows,
-            exposed,
-            children,
-            raw_ops,
-            node_ids,
-            profile,
-            seal_passes: 0,
-            feed_passes: 0,
-            compactions: 0,
-            funcs,
-            term_ids,
-            interner: crate::slab::KeyInterner::new(),
-            slot_buf: Vec::new(),
-            peak_pane_live: 0,
-            last_compact_fed: 0,
-            interner_hw: (0, 0),
-            watermark: 0,
-            deadline: 0,
-            results_emitted: 0,
-            fed: 0,
-            last_event_time: 0,
-        };
-        core.recompute_deadline();
-        Ok(core)
+        store.work_sink = sink;
     }
 
-    fn recompute_deadline(&mut self) {
-        self.deadline = self
-            .stores
-            .iter()
-            .map(MultiStore::front_end)
-            .min()
-            .unwrap_or(u64::MAX);
-    }
-
-    /// Emits one result per (key, aggregate term) for the pane at the
-    /// store front, straight into the sink (no intermediate buffer). Keys
-    /// are recovered through the interner's slot→key table; emission
-    /// walks the pane's live slots in first-touch order.
+    /// One result per (key, aggregate term), walking the pane's live
+    /// slots in first-touch order.
     #[inline]
-    fn emit_front(&mut self, op: usize, interval: Interval, sink: &mut ResultSink) {
-        let window = self.windows[op];
-        let slot_keys = self.interner.keys();
-        let pane = self.stores[op].deque.front_pane();
-        let mut emitted = 0u64;
-        if let ResultSink::Collect(_) = sink {
-            for &slot in &pane.touched {
-                let key = slot_keys[slot as usize];
-                for (j, &f) in self.funcs.iter().enumerate() {
-                    sink.push(
-                        WindowResult {
-                            window,
-                            interval,
-                            key,
-                            agg: j as u32,
-                            value: pane.cols[j].finalize(f, slot as usize),
-                        },
-                        &mut emitted,
-                    );
-                }
-            }
-        } else {
-            emitted = pane.len() as u64 * self.funcs.len() as u64;
-        }
-        self.results_emitted += emitted;
-        if self.profile.counters_on() {
-            self.stores[op].emitted += emitted;
-        }
-    }
-
-    /// Cascades every open (unsealed) pane down the sub-aggregate forest
-    /// without sealing or emitting anything. After the pass, each window's
-    /// open instances hold every event observed so far, including
-    /// contributions that were still in flight inside an ancestor's
-    /// unsealed pane. Operators are topologically ordered (parents first),
-    /// so a single pass propagates transitively.
-    ///
-    /// Exactly-once is preserved: an open pane has never been delivered
-    /// (delivery normally happens at seal), and after the flush the old
-    /// core is discarded, so each in-flight element reaches each
-    /// descendant instance once. Under covered-by semantics overlapping
-    /// deliveries can double up exactly as they do during normal sealing —
-    /// which only overlap-tolerant functions (MIN/MAX) ride.
-    fn flush_open(&mut self) {
-        let slot_keys = self.interner.keys();
-        for op in 0..self.stores.len() {
-            if self.children[op].is_empty() {
-                continue;
-            }
-            let (head, tail) = self.stores.split_at_mut(op + 1);
-            let window = *head[op].deque.window();
-            for (m, pane) in head[op].deque.iter_open() {
-                let interval = window.interval(m);
-                for &child in &self.children[op] {
-                    debug_assert!(child > op, "plan must be topologically ordered");
-                    tail[child - op - 1].combine_pane(&interval, pane, slot_keys);
-                }
-            }
-        }
-    }
-
-    /// Exports the core's migratable state for a live plan swap: flushes
-    /// in-flight sub-aggregates downward, then drains the open panes of
-    /// every exposed window (see [`GroupState`]). Carried-over panes from
-    /// a previous swap are folded back into their instances first — they
-    /// are emission-side state and must keep traveling as such.
-    pub(crate) fn export_state(&mut self) -> GroupState {
-        self.flush_open();
-        let mut windows = Vec::new();
-        for op in 0..self.stores.len() {
-            if !self.exposed[op] {
-                continue;
-            }
-            let funcs = self.funcs.clone();
-            let slot_keys = self.interner.keys();
-            let store = &mut self.stores[op];
-            let mut panes = store.deque.take_open();
-            for (m, carried) in std::mem::take(&mut store.carry) {
-                match panes.iter_mut().find(|(pm, _)| *pm == m) {
-                    Some((_, pane)) => pane.merge_from(&carried, &funcs),
-                    None => panes.push((m, carried)),
-                }
-            }
-            panes.sort_by_key(|&(m, _)| m);
-            if !panes.is_empty() {
-                // Hand state over key-addressed (sorted by raw key): the
-                // adopting core owns a different interner, and checkpoint
-                // snapshots must stay slot-assignment-neutral.
-                let entries: Vec<(u64, KeyedPane)> = panes
-                    .iter()
-                    .map(|(m, pane)| (*m, pane.to_entries(slot_keys)))
-                    .collect();
-                windows.push((self.windows[op], entries));
-            }
-        }
-        GroupState {
-            watermark: self.watermark,
-            last_event_time: self.last_event_time,
-            slots: self.term_ids.clone(),
-            windows,
-        }
-    }
-
-    /// Installs exported state into this (freshly compiled) core: exposed
-    /// windows present in both plans receive their open panes back, with
-    /// accumulator slots matched by `(function, column)`; slots new to
-    /// this plan initialize fresh, slots that disappeared are dropped.
-    /// Exported windows absent from this plan are discarded. The ordering
-    /// watermark and end-of-stream horizon carry over.
-    ///
-    /// Panes of operators that feed children are parked in the store's
-    /// *carry* rather than the live deque: their pre-swap contributions
-    /// already reached every descendant through the export-time flush, so
-    /// sealing must cascade only the post-swap pane and fold the carried
-    /// half in just before emission. Leaf operators (no children) adopt
-    /// directly into the deque.
-    pub(crate) fn adopt(&mut self, state: GroupState) {
-        debug_assert_eq!(self.fed, 0, "state is adopted into a fresh core only");
-        self.watermark = self.watermark.max(state.watermark);
-        self.last_event_time = self.last_event_time.max(state.last_event_time);
-        let slot_map: Vec<Option<usize>> = self
-            .term_ids
-            .iter()
-            .map(|key| state.slots.iter().position(|old| old == key))
-            .collect();
-        for (window, panes) in state.windows {
-            let Some(op) =
-                (0..self.stores.len()).find(|&op| self.exposed[op] && self.windows[op] == window)
-            else {
-                continue;
-            };
-            let funcs = self.funcs.clone();
-            let feeds_children = !self.children[op].is_empty();
-            // Fast-forward the cursor past everything already sealed so
-            // re-opening instance m does not allocate panes for the
-            // sealed prefix (returns None: a fresh deque has no panes).
-            let positioned = self.stores[op].deque.prepare_due(state.watermark);
-            debug_assert!(positioned.is_none());
-            let remap = |old_acc: &MultiAcc| -> MultiAcc {
-                funcs
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &f)| match slot_map[j] {
-                        Some(old_j) => old_acc[old_j].clone(),
-                        None => init_slot(f),
-                    })
-                    .collect()
-            };
-            // Entries arrive key-sorted, so slot assignment in this
-            // core's interner is deterministic (key order) regardless of
-            // the exporting core's interning history.
-            if feeds_children {
-                let mut carried: Vec<(u64, MultiPane)> = Vec::with_capacity(panes.len());
-                for (m, entries) in panes {
-                    let mut pane = MultiPane::default();
-                    for (key, old_acc) in entries {
-                        let slot = self.interner.intern(key);
-                        pane.write_row(slot, &remap(&old_acc), &funcs);
-                    }
-                    carried.push((m, pane));
-                }
-                carried.sort_by_key(|&(m, _)| m);
-                self.stores[op].carry = carried;
-            } else {
-                for (m, entries) in panes {
-                    for (key, old_acc) in entries {
-                        let slot = self.interner.intern(key);
-                        self.stores[op]
-                            .deque
-                            .pane_mut(m)
-                            .write_row(slot, &remap(&old_acc), &funcs);
-                    }
-                }
-            }
-        }
-        self.recompute_deadline();
-    }
-
-    /// Seals every instance with `end ≤ watermark`, cascading combinable
-    /// sub-aggregates down the forest (same single topological pass as the
-    /// monomorphized core). Cascading runs *before* the carry merge, so
-    /// instances migrated across a plan swap deliver only their post-swap
-    /// half to children (the pre-swap half already arrived through the
-    /// export-time flush) while still emitting the complete instance.
-    fn advance(&mut self, watermark: u64, sink: &mut ResultSink) {
-        let counters = self.profile.counters_on();
-        let clock = self.profile.clock_on() && {
-            self.seal_passes = self.seal_passes.wrapping_add(1);
-            self.seal_passes
-                .is_multiple_of(crate::executor::PROFILE_CLOCK_STRIDE)
-        };
-        let mut deadline = u64::MAX;
-        for op in 0..self.stores.len() {
-            let mut op_timer = clock.then(Instant::now);
-            let mut op_nanos = 0u64;
-            while let Some(interval) = self.stores[op].next_due(watermark) {
-                let (head, tail) = self.stores.split_at_mut(op + 1);
-                let pane = head[op].deque.front_pane();
-                let live = pane.len();
-                self.peak_pane_live = self.peak_pane_live.max(live);
-                let slot_keys = self.interner.keys();
-                match &mut op_timer {
-                    // Sampled pass: child combines are timed separately so
-                    // their cost lands on the child node, not the sealer.
-                    Some(start) => {
-                        op_nanos += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        for &child in &self.children[op] {
-                            debug_assert!(child > op, "plan must be topologically ordered");
-                            let t0 = Instant::now();
-                            tail[child - op - 1].combine_pane(&interval, pane, slot_keys);
-                            tail[child - op - 1].add_nanos(
-                                u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                            );
-                        }
-                        *start = Instant::now();
-                    }
-                    None => {
-                        for &child in &self.children[op] {
-                            debug_assert!(child > op, "plan must be topologically ordered");
-                            tail[child - op - 1].combine_pane(&interval, pane, slot_keys);
-                        }
-                    }
-                }
-                if counters {
-                    self.stores[op].note_seal(live as u64);
-                }
-                let m = interval.start / self.windows[op].slide();
-                self.stores[op].merge_carry_front(m);
-                if self.exposed[op] {
-                    self.emit_front(op, interval, sink);
-                }
-                self.stores[op].deque.retire_front();
-            }
-            if let Some(start) = op_timer {
-                op_nanos += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.stores[op].add_nanos(op_nanos);
-            }
-            deadline = deadline.min(self.stores[op].front_end());
-        }
-        self.deadline = deadline;
-    }
-
-    /// Recycles the interner and the slabs sized to it at idle points
-    /// (see `Typed::maybe_compact` — same conditions, plus the store-level
-    /// idle check covering carried-over swap state). Called from watermark
-    /// announcements only — never from the sealing inside a columnar
-    /// feed, whose translated slot buffer must stay valid for the rest of
-    /// the batch.
-    fn maybe_compact(&mut self) {
-        let slots = self.interner.len();
-        if slots >= crate::executor::COMPACT_MIN_SLOTS
-            && slots >= 2 * self.peak_pane_live.max(1)
-            && self.fed.saturating_sub(self.last_compact_fed) >= 16 * slots as u64
-            && self.stores.iter().all(MultiStore::is_idle)
-        {
-            self.interner_hw.0 = self.interner_hw.0.max(slots as u64);
-            self.interner_hw.1 = self.interner_hw.1.max(self.interner.bytes() as u64);
-            self.interner.clear();
-            for store in &mut self.stores {
-                store.compact();
-            }
-            self.compactions += 1;
-            self.peak_pane_live = 0;
-            self.last_compact_fed = self.fed;
-        }
-    }
-}
-
-impl crate::executor::PipelineCore for MultiCore {
-    /// Run-sliced columnar feed, mirroring the monomorphized core's
-    /// implementation (see `Typed::feed_columns`): one instance division
-    /// per run per raw-fed operator, one hash probe per key sub-run,
-    /// element-for-element identical behavior to per-event feeding.
-    fn feed_columns(
-        &mut self,
-        times: &[u64],
-        keys: &[u32],
-        values: &[f64],
+    fn emit(
+        &self,
+        pane: &MultiPane,
+        window: Window,
+        interval: Interval,
+        slot_keys: &[u32],
         sink: &mut ResultSink,
-    ) -> Result<()> {
-        debug_assert!(times.len() == keys.len() && times.len() == values.len());
-        // Intern the key column once at ingress: one interner probe per
-        // key change, zero hash probes on the fold path below.
-        let mut slot_buf = std::mem::take(&mut self.slot_buf);
-        crate::executor::intern_keys(&mut self.interner, keys, &mut slot_buf);
-        let clock = self.profile.clock_on() && {
-            self.feed_passes = self.feed_passes.wrapping_add(1);
-            self.feed_passes
-                .is_multiple_of(crate::executor::PROFILE_CLOCK_STRIDE)
+    ) -> u64 {
+        let ResultSink::Collect(_) = sink else {
+            return (pane.touched.len() * self.funcs.len()) as u64;
         };
-        let mut i = 0;
-        while i < times.len() {
-            let head = times[i];
-            if head < self.watermark {
-                self.slot_buf = slot_buf;
-                return Err(EngineError::OutOfOrderEvent {
-                    at: head,
-                    watermark: self.watermark,
-                });
-            }
-            if head >= self.deadline {
-                self.advance(head, sink);
-            }
-            // One-element batches (the per-event wrapper) skip the run
-            // arithmetic: `update_run` on a single element already does
-            // exactly what the per-event path used to.
-            let j = if times.len() == 1 {
-                1
-            } else {
-                let limit = crate::executor::run_limit(
-                    head,
-                    self.raw_ops.iter().map(|&op| &self.windows[op]),
-                    self.deadline,
+        let mut emitted = 0u64;
+        for &slot in &pane.touched {
+            let key = slot_keys[slot as usize];
+            for (j, &f) in self.funcs.iter().enumerate() {
+                sink.push(
+                    WindowResult {
+                        window,
+                        interval,
+                        key,
+                        agg: j as u32,
+                        value: pane.cols[j].finalize(f, slot as usize),
+                    },
+                    &mut emitted,
                 );
-                i + crate::executor::run_len(&times[i..], limit)
-            };
-            for &op in &self.raw_ops {
-                if clock {
-                    let t0 = Instant::now();
-                    self.stores[op].update_run(
-                        &times[i..j],
-                        &keys[i..j],
-                        &slot_buf[i..j],
-                        &values[i..j],
-                    );
-                    self.stores[op]
-                        .add_nanos(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                } else {
-                    self.stores[op].update_run(
-                        &times[i..j],
-                        &keys[i..j],
-                        &slot_buf[i..j],
-                        &values[i..j],
-                    );
-                }
             }
-            let last = times[j - 1];
-            self.watermark = last;
-            self.fed += (j - i) as u64;
-            self.last_event_time = self.last_event_time.max(last);
-            i = j;
         }
-        self.slot_buf = slot_buf;
-        Ok(())
+        emitted
     }
 
-    fn advance_to(&mut self, watermark: u64, sink: &mut ResultSink) {
-        self.advance(watermark, sink);
-        self.watermark = self.watermark.max(watermark);
-        self.maybe_compact();
-    }
-
-    fn watermark(&self) -> u64 {
-        self.watermark
-    }
-
-    fn events_fed(&self) -> u64 {
-        self.fed
-    }
-
-    fn last_event_time(&self) -> u64 {
-        self.last_event_time
-    }
-
-    fn results_emitted(&self) -> u64 {
-        self.results_emitted
-    }
-
-    fn stats(&self) -> ExecStats {
-        ExecStats {
-            updates: self.stores.iter().map(|s| s.updates).sum(),
-            combines: self.stores.iter().map(|s| s.combines).sum(),
-            agg_ops: self.stores.iter().map(|s| s.agg_ops).sum(),
-            replans: 0,
+    fn merge(&self, into: &mut MultiPane, carried: &MultiPane) {
+        for &slot in &carried.touched {
+            into.touch(slot, &self.funcs);
+            for (j, col) in into.cols.iter_mut().enumerate() {
+                col.merge_at(self.funcs[j], slot as usize, &carried.cols[j]);
+            }
         }
     }
 
-    fn work_total(&self) -> u64 {
-        self.stores
+    fn read_rows(&self, pane: &MultiPane, slot_keys: &[u32]) -> KeyedPane {
+        pane.touched
             .iter()
-            .map(|s| s.work_sink)
-            .fold(0u64, u64::wrapping_add)
-    }
-
-    fn supports_group_state(&self) -> bool {
-        true
-    }
-
-    fn export_group_state(&mut self) -> Option<GroupState> {
-        Some(self.export_state())
-    }
-
-    fn interner_stats(&self) -> (u64, u64) {
-        (
-            self.interner_hw.0.max(self.interner.len() as u64),
-            self.interner_hw.1.max(self.interner.bytes() as u64),
-        )
-    }
-
-    fn node_profiles(&self) -> Vec<NodeProfile> {
-        self.windows
-            .iter()
-            .enumerate()
-            .map(|(op, w)| {
-                let mut p = NodeProfile {
-                    node: self.node_ids[op],
-                    range: w.range(),
-                    slide: w.slide(),
-                    exposed: self.exposed[op],
-                    raw_fed: self.raw_ops.contains(&op),
-                    ..NodeProfile::default()
-                };
-                self.stores[op].profile_into(&mut p);
-                p
+            .map(|&s| {
+                let row = pane.cols.iter().map(|c| c.read(s as usize)).collect();
+                (slot_keys[s as usize], row)
             })
             .collect()
     }
 
-    fn compactions(&self) -> u64 {
-        self.compactions
+    fn write_row(&self, pane: &mut MultiPane, slot: u32, row: &[Slot]) {
+        pane.touch(slot, &self.funcs);
+        for (col, value) in pane.cols.iter_mut().zip(row) {
+            col.write(slot as usize, value);
+        }
     }
 }
 

@@ -18,9 +18,13 @@
 //! slot→key table.
 
 use crate::agg::Aggregate;
+use crate::driver::{KeyedPane, PaneLayout, Slot, Store};
+use crate::error::{EngineError, Result};
+use crate::event::{ResultSink, WindowResult};
 use crate::slab::Slab;
-use fw_core::{Interval, Window};
+use fw_core::{Interval, QueryPlan, Window};
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 
 /// Per-key accumulators for one window instance: a dense slot-indexed
 /// slab with epoch-stamped occupancy (O(1) clear, iteration linear in
@@ -32,16 +36,20 @@ pub type Pane<Acc> = Slab<Acc>;
 /// panes (`MultiPane`, crate-private) share one sealing/recycling
 /// implementation.
 pub trait PaneState: Default {
+    /// Number of live entries (keys) in the pane.
+    fn len(&self) -> usize;
     /// True when the pane holds no live entries.
-    fn is_empty(&self) -> bool;
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
     /// Empties the pane for reuse (O(1) for epoch-stamped slabs).
     fn clear(&mut self);
 }
 
 impl<V> PaneState for Slab<V> {
     #[inline]
-    fn is_empty(&self) -> bool {
-        Slab::is_empty(self)
+    fn len(&self) -> usize {
+        Slab::len(self)
     }
     #[inline]
     fn clear(&mut self) {
@@ -78,13 +86,12 @@ pub fn element_work(seed: u64, iters: u32) -> u64 {
     x
 }
 
-/// Instance-indexed pane storage shared by the single-aggregate
-/// [`PaneStore`] and the multi-aggregate store ([`crate::multi`]): a deque
-/// of per-key maps fronted by the oldest unsealed instance, with strictly
+/// Instance-indexed pane storage shared by both pane layouts: a deque of
+/// per-key panes fronted by the oldest unsealed instance, with strictly
 /// in-order sealing and a bounded spare pool. This is the bookkeeping
 /// layer only — accumulator semantics, cost accounting, and element-work
-/// emulation live in the stores composing it, so a sealing or
-/// fast-forward fix lands in exactly one place.
+/// emulation live in the driver's `Store` composing it and the layout's kernels,
+/// so a sealing or fast-forward fix lands in exactly one place.
 #[derive(Debug)]
 pub struct PaneDeque<P: PaneState> {
     window: Window,
@@ -222,7 +229,7 @@ impl<P: PaneState> PaneDeque<P> {
     /// instance `stop`, and returns instance `stop` when due even if its
     /// pane is empty (opening it on demand). State migration parks
     /// carried-over content for instance `stop` *outside* the deque (see
-    /// `crate::multi`), so the ordinary skip-empty fast-forward must not
+    /// `crate::driver`), so the ordinary skip-empty fast-forward must not
     /// discard it, while instances before `stop` still seal and skip
     /// normally.
     pub fn prepare_due_upto(&mut self, watermark: u64, stop: u64) -> Option<Interval> {
@@ -262,7 +269,7 @@ impl<P: PaneState> PaneDeque<P> {
 
     /// Iterates the open, non-empty panes together with their absolute
     /// instance indices (state-migration and flush support; see
-    /// [`crate::multi`]).
+    /// the crate-private `driver` module).
     pub fn iter_open(&self) -> impl Iterator<Item = (u64, &P)> {
         let front = self.front_m;
         self.panes
@@ -305,198 +312,113 @@ impl<P: PaneState> PaneDeque<P> {
     }
 }
 
-/// The open instances of one window operator: the shared [`PaneDeque`]
-/// bookkeeping plus the aggregate's accumulator semantics, element-work
-/// emulation, and cost-model accounting.
-#[derive(Debug)]
-pub struct PaneStore<A: Aggregate> {
-    deque: PaneDeque<Pane<A::Acc>>,
-    /// Per-element emulated work (see [`DEFAULT_ELEMENT_WORK`]).
-    work: u32,
-    /// Sink for the emulated work so it is not optimized away.
-    work_sink: u64,
-    /// Raw-event updates performed (cost-model accounting).
-    updates: u64,
-    /// Sub-aggregate combines performed (cost-model accounting).
-    combines: u64,
-    /// Instances sealed (per-node profiling; maintained only when the
-    /// owning core profiles).
-    seals: u64,
-    /// Result rows emitted from sealed panes (per-node profiling).
-    emitted: u64,
-    /// High-water of live slab entries in any sealing pane (per-node
-    /// profiling).
-    pane_live_hw: u64,
-    /// Sampled nanoseconds attributed to this operator (per-node
-    /// profiling, stride-amortized clock).
-    nanos: u64,
+/// How an [`Aggregate`]'s accumulator travels as an interchange
+/// [`Slot`] — the one thing the mono layout needs beyond the aggregate's
+/// own kernels to export and adopt state.
+pub(crate) trait SlotRepr: Sized {
+    fn to_slot(&self) -> Slot;
+    fn from_slot(slot: &Slot) -> Self;
 }
 
-impl<A: Aggregate> PaneStore<A> {
-    /// Creates an empty store for `window` with the default element work.
-    #[must_use]
-    pub fn new(window: Window) -> Self {
-        Self::with_element_work(window, DEFAULT_ELEMENT_WORK)
-    }
-
-    /// Creates an empty store with explicit per-element work.
-    #[must_use]
-    pub fn with_element_work(window: Window, work: u32) -> Self {
-        PaneStore {
-            deque: PaneDeque::new(window),
-            work,
-            work_sink: 0,
-            updates: 0,
-            combines: 0,
-            seals: 0,
-            emitted: 0,
-            pane_live_hw: 0,
-            nanos: 0,
+macro_rules! slot_repr {
+    ($ty:ty, $variant:ident) => {
+        impl SlotRepr for $ty {
+            fn to_slot(&self) -> Slot {
+                Slot::$variant(self.clone())
+            }
+            fn from_slot(slot: &Slot) -> Self {
+                match slot {
+                    Slot::$variant(v) => v.clone(),
+                    _ => unreachable!("slot shape is fixed by the aggregate function"),
+                }
+            }
         }
+    };
+}
+slot_repr!(f64, F64);
+slot_repr!(u64, U64);
+slot_repr!(crate::agg::SumCount, SumCount);
+slot_repr!(Vec<f64>, Values);
+
+/// The single-term pane layout: one [`Slab`] of `A::Acc` per instance,
+/// monomorphic over the aggregate so the fold and combine loops compile
+/// to straight-line code per function.
+pub(crate) struct Mono<A>(PhantomData<fn() -> A>);
+
+impl<A: Aggregate> PaneLayout for Mono<A>
+where
+    A::Acc: SlotRepr,
+{
+    type Pane = Pane<A::Acc>;
+    type Op = ();
+
+    fn new(_plan: &QueryPlan) -> Self {
+        Mono(PhantomData)
     }
 
-    /// Raw-event updates performed so far — the quantity the cost model
-    /// charges as `n·η·r` per period for raw-fed windows.
-    #[must_use]
-    pub fn updates(&self) -> u64 {
-        self.updates
-    }
-
-    /// Sub-aggregate combines performed so far — the quantity the cost
-    /// model charges as `n·M` per period for sub-aggregate-fed windows.
-    #[must_use]
-    pub fn combines(&self) -> u64 {
-        self.combines
-    }
-
-    /// The accumulated work sink (kept observable so the emulated work has
-    /// a data dependency the optimizer must respect).
-    #[must_use]
-    pub fn work_sink(&self) -> u64 {
-        self.work_sink
-    }
-
-    /// Notes one sealed instance whose pane held `live` entries
-    /// (per-node profiling: seal count and occupancy high-water).
-    #[inline]
-    pub fn note_seal(&mut self, live: u64) {
-        self.seals += 1;
-        self.pane_live_hw = self.pane_live_hw.max(live);
-    }
-
-    /// Notes `rows` result rows emitted from a sealed pane.
-    #[inline]
-    pub fn note_emitted(&mut self, rows: u64) {
-        self.emitted += rows;
-    }
-
-    /// Attributes sampled nanoseconds to this operator.
-    #[inline]
-    pub fn add_nanos(&mut self, ns: u64) {
-        self.nanos += ns;
-    }
-
-    /// Accumulates this store's counters into a
-    /// [`NodeProfile`](crate::profile::NodeProfile)
-    /// (identity fields are left for the caller to fill). The
-    /// single-aggregate core performs exactly one accumulator operation
-    /// per update/combine, so `agg_ops` grows by their sum.
-    pub fn profile_into(&self, p: &mut crate::profile::NodeProfile) {
-        p.updates += self.updates;
-        p.combines += self.combines;
-        p.agg_ops += self.updates + self.combines;
-        p.seals += self.seals;
-        p.emitted += self.emitted;
-        p.pane_live_hw = p.pane_live_hw.max(self.pane_live_hw);
-        p.nanos += self.nanos;
-    }
-
-    /// The window this store belongs to.
-    #[must_use]
-    pub fn window(&self) -> &Window {
-        self.deque.window()
-    }
-
-    /// The earliest unsealed instance's end — the store's next deadline.
-    #[inline]
-    #[must_use]
-    pub fn front_end(&self) -> u64 {
-        self.deque.front_end()
-    }
-
-    /// Number of open panes (diagnostics and memory-bound tests).
-    #[must_use]
-    pub fn open_panes(&self) -> usize {
-        self.deque.open_panes()
+    fn op(&self, _exposed: bool, sub_fed: bool) -> Result<((), bool)> {
+        if sub_fed && !A::COMBINABLE {
+            return Err(EngineError::HolisticSubAggregate {
+                function: A::function().name(),
+            });
+        }
+        Ok(((), !sub_fed))
     }
 
     /// Folds a raw event into every instance containing `t`
     /// (`r/s` instances — the unshared per-event cost of the cost model).
-    /// `slot` is the interned dense id of `key` (the raw key still seeds
-    /// the emulated per-element work, matching the pre-slab seeds).
     #[inline]
-    pub fn update_point(&mut self, t: u64, key: u32, slot: u32, value: f64) {
-        let window = *self.deque.window();
+    fn update_point(&self, store: &mut Store<Self>, t: u64, slot: u32, value: f64) {
+        // The fold is spelled out on both paths rather than shared through
+        // a closure: the closure cost ~1.3 ns per call (measured, 3–4 ns per
+        // event on a three-window plan), which is the whole margin the
+        // per-event API has over the run path's bookkeeping.
+        let window = *store.deque.window();
         if window.is_tumbling() {
             // Fast path: exactly one containing instance.
             let m = t / window.slide();
-            self.work_sink ^= element_work(t ^ u64::from(key), self.work);
-            self.updates += 1;
-            let pane = self.deque.pane_mut(m);
-            A::update(pane.slot_mut(slot, A::init), value);
+            store.work_sink ^= element_work(t ^ m, store.work);
+            store.updates += 1;
+            store.agg_ops += 1;
+            A::update(store.deque.pane_mut(m).slot_mut(slot, A::init), value);
             return;
         }
         for m in window.instances_containing(t) {
-            self.work_sink ^= element_work(t ^ m, self.work);
-            self.updates += 1;
-            let pane = self.deque.pane_mut(m);
-            A::update(pane.slot_mut(slot, A::init), value);
+            store.work_sink ^= element_work(t ^ m, store.work);
+            store.updates += 1;
+            store.agg_ops += 1;
+            A::update(store.deque.pane_mut(m).slot_mut(slot, A::init), value);
         }
     }
 
-    /// Folds a *run* of events — column slices whose timestamps are
-    /// non-decreasing and all route to the same instance set (the caller
-    /// sliced the batch at slide boundaries) — into those instances.
-    ///
     /// The instance arithmetic (`t / s`, pane lookup in the deque) is paid
     /// once per run instead of once per event, and within the run
     /// consecutive events with the same key share one slot resolve: the
-    /// accumulator is indexed once per key sub-run (`slots` carries the
-    /// interned id per element) and the values fold through the
-    /// aggregate's columnar kernel ([`Aggregate::fold_run`]).
+    /// accumulator is indexed once per key sub-run and the values fold
+    /// through the aggregate's columnar kernel ([`Aggregate::fold_run`]).
     /// Per-element accounting is unchanged — `updates` grows by one per
     /// event per instance and the emulated element work runs per element,
     /// exactly as the equivalent [`Self::update_point`] sequence would:
     /// the work loop is separate from the value fold, which is safe
     /// because the sink combines by XOR (order-free).
-    pub fn update_run(&mut self, times: &[u64], keys: &[u32], slots: &[u32], values: &[f64]) {
+    fn update_run(&self, store: &mut Store<Self>, times: &[u64], slots: &[u32], values: &[f64]) {
         debug_assert!(!times.is_empty());
-        debug_assert!(times.len() == keys.len() && times.len() == values.len());
-        debug_assert!(times.len() == slots.len());
-        let window = *self.deque.window();
-        let tumbling = window.is_tumbling();
+        debug_assert!(times.len() == slots.len() && times.len() == values.len());
+        let window = *store.deque.window();
         let instances = window.instances_containing(times[0]);
         debug_assert_eq!(
             window.instances_containing(times[times.len() - 1]),
             instances,
             "run crosses a slide boundary"
         );
-        let work = self.work;
-        let mut work_sink = self.work_sink;
+        let work = store.work;
+        let mut work_sink = store.work_sink;
         let mut folded = 0u64;
         for m in instances {
-            // Emulated per-element work, seeded exactly as `update_point`
-            // seeds it (raw key, not slot).
-            if tumbling {
-                for (&t, &key) in times.iter().zip(keys) {
-                    work_sink ^= element_work(t ^ u64::from(key), work);
-                }
-            } else {
-                for &t in times {
-                    work_sink ^= element_work(t ^ m, work);
-                }
+            for &t in times {
+                work_sink ^= element_work(t ^ m, work);
             }
-            let pane = self.deque.pane_mut(m);
+            let pane = store.deque.pane_mut(m);
             let mut k = 0;
             while k < slots.len() {
                 let slot = slots[k];
@@ -511,27 +433,30 @@ impl<A: Aggregate> PaneStore<A> {
             }
             folded += times.len() as u64;
         }
-        self.updates += folded;
-        self.work_sink = work_sink;
+        store.updates += folded;
+        store.agg_ops += folded;
+        store.work_sink = work_sink;
     }
 
-    /// Folds a whole upstream pane (all keys of one sub-aggregate interval)
-    /// into every instance whose lifetime fully contains `iv` — the
-    /// instance range is computed once per pane, not once per key, and the
-    /// merge is a linear walk of the source slab's live slots (parent and
-    /// child share the core's interner, so slot ids line up and no probe
-    /// is needed on either side). `slot_keys` is the interner's slot→key
-    /// table, used only to seed the emulated per-element work with the
-    /// raw key as the hash-map implementation did.
+    /// The instance range is computed once per pane, not once per key, and
+    /// the merge is a linear walk of the source slab's live slots (parent
+    /// and child share the core's interner, so slot ids line up and no
+    /// probe is needed on either side). The raw key recovered through
+    /// `slot_keys` only seeds the emulated per-element work.
     #[inline]
-    pub fn combine_pane(&mut self, iv: &Interval, source: &Pane<A::Acc>, slot_keys: &[u32]) {
-        // Hoisted once per call (not per instance), matching
-        // `update_run`'s structure.
-        let work = self.work;
-        let mut sink = self.work_sink;
-        for m in self.deque.window().instances_containing_interval(iv) {
-            self.combines += source.len() as u64;
-            let pane = self.deque.pane_mut(m);
+    fn combine_pane(
+        &self,
+        store: &mut Store<Self>,
+        iv: &Interval,
+        source: &Pane<A::Acc>,
+        slot_keys: &[u32],
+    ) {
+        let work = store.work;
+        let mut sink = store.work_sink;
+        for m in store.deque.window().instances_containing_interval(iv) {
+            store.combines += source.len() as u64;
+            store.agg_ops += source.len() as u64;
+            let pane = store.deque.pane_mut(m);
             for (slot, sub) in source.iter() {
                 sink ^= element_work(m ^ u64::from(slot_keys[slot as usize]), work);
                 if let Some(acc) = pane.get_mut(slot) {
@@ -541,51 +466,51 @@ impl<A: Aggregate> PaneStore<A> {
                 }
             }
         }
-        self.work_sink = sink;
+        store.work_sink = sink;
     }
 
-    /// Positions the store at its next due (`end ≤ watermark`), non-empty
-    /// instance and returns that instance's interval without sealing it
-    /// (see [`PaneDeque::prepare_due`]). Follow up with
-    /// [`Self::front_pane`] and [`Self::retire_front`].
-    pub fn prepare_due(&mut self, watermark: u64) -> Option<Interval> {
-        self.deque.prepare_due(watermark)
-    }
-
-    /// The pane positioned by [`Self::prepare_due`].
     #[inline]
-    #[must_use]
-    pub fn front_pane(&self) -> &Pane<A::Acc> {
-        self.deque.front_pane()
+    fn emit(
+        &self,
+        pane: &Pane<A::Acc>,
+        window: Window,
+        interval: Interval,
+        slot_keys: &[u32],
+        sink: &mut ResultSink,
+    ) -> u64 {
+        let ResultSink::Collect(_) = sink else {
+            return pane.len() as u64;
+        };
+        let mut emitted = 0u64;
+        for (slot, acc) in pane.iter() {
+            sink.push(
+                WindowResult {
+                    window,
+                    interval,
+                    key: slot_keys[slot as usize],
+                    agg: 0,
+                    value: A::finalize(acc),
+                },
+                &mut emitted,
+            );
+        }
+        emitted
     }
 
-    /// Seals the pane positioned by [`Self::prepare_due`]: clears it into
-    /// the spare pool and advances the cursor.
-    #[inline]
-    pub fn retire_front(&mut self) {
-        self.deque.retire_front();
+    fn merge(&self, into: &mut Pane<A::Acc>, carried: &Pane<A::Acc>) {
+        for (slot, acc) in carried.iter() {
+            A::merge(into.slot_mut(slot, A::init), acc);
+        }
     }
 
-    /// True when no open pane holds a live entry (see
-    /// [`PaneDeque::is_idle`]).
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.deque.is_idle()
+    fn read_rows(&self, pane: &Pane<A::Acc>, slot_keys: &[u32]) -> KeyedPane {
+        pane.iter()
+            .map(|(slot, acc)| (slot_keys[slot as usize], Box::from([acc.to_slot()])))
+            .collect()
     }
 
-    /// Frees slab capacity sized to a retired slot space (see
-    /// [`PaneDeque::compact`]); callers must hold the idle condition.
-    pub fn compact(&mut self) {
-        self.deque.compact();
-    }
-
-    /// Convenience wrapper for tests: seals and returns a copy of the next
-    /// due instance.
-    pub fn pop_due(&mut self, watermark: u64) -> Option<(Interval, Pane<A::Acc>)> {
-        let interval = self.prepare_due(watermark)?;
-        let pane = self.front_pane().clone();
-        self.retire_front();
-        Some((interval, pane))
+    fn write_row(&self, pane: &mut Pane<A::Acc>, slot: u32, row: &[Slot]) {
+        pane.insert(slot, A::Acc::from_slot(&row[0]));
     }
 }
 
@@ -593,6 +518,57 @@ impl<A: Aggregate> PaneStore<A> {
 mod tests {
     use super::*;
     use crate::agg::{MinAgg, SumAgg};
+
+    /// One operator's store under the mono layout, driven kernel by
+    /// kernel.
+    struct PaneStore<A: Aggregate>(Store<Mono<A>>)
+    where
+        A::Acc: SlotRepr;
+
+    impl<A: Aggregate> PaneStore<A>
+    where
+        A::Acc: SlotRepr,
+    {
+        fn new(window: Window) -> Self {
+            PaneStore(Store::new(window, (), DEFAULT_ELEMENT_WORK))
+        }
+
+        fn update_point(&mut self, t: u64, slot: u32, value: f64) {
+            Mono(PhantomData).update_point(&mut self.0, t, slot, value);
+        }
+
+        fn update_run(&mut self, times: &[u64], slots: &[u32], values: &[f64]) {
+            Mono(PhantomData).update_run(&mut self.0, times, slots, values);
+        }
+
+        fn combine_pane(&mut self, iv: &Interval, source: &Pane<A::Acc>, slot_keys: &[u32]) {
+            Mono(PhantomData).combine_pane(&mut self.0, iv, source, slot_keys);
+        }
+
+        fn prepare_due(&mut self, watermark: u64) -> Option<Interval> {
+            self.0.deque.prepare_due(watermark)
+        }
+
+        fn retire_front(&mut self) {
+            self.0.deque.retire_front();
+        }
+
+        /// Seals and returns a copy of the next due instance.
+        fn pop_due(&mut self, watermark: u64) -> Option<(Interval, Pane<A::Acc>)> {
+            let interval = self.prepare_due(watermark)?;
+            let pane = self.0.deque.front_pane().clone();
+            self.retire_front();
+            Some((interval, pane))
+        }
+
+        fn open_panes(&self) -> usize {
+            self.0.deque.open_panes()
+        }
+
+        fn spares(&self) -> usize {
+            self.0.deque.spare.len()
+        }
+    }
 
     fn w(r: u64, s: u64) -> Window {
         Window::new(r, s).unwrap()
@@ -606,7 +582,7 @@ mod tests {
     fn tumbling_update_and_seal() {
         let mut store: PaneStore<SumAgg> = PaneStore::new(w(10, 10));
         for t in 0..25 {
-            store.update_point(t, 0, 0, 1.0);
+            store.update_point(t, 0, 1.0);
         }
         // Watermark 20: instances [0,10) and [10,20) are due.
         let (iv, pane) = store.pop_due(20).unwrap();
@@ -632,12 +608,12 @@ mod tests {
             let values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0];
             let mut per_event: PaneStore<SumAgg> = PaneStore::new(window);
             for i in 0..times.len() {
-                per_event.update_point(times[i], keys[i], keys[i], values[i]);
+                per_event.update_point(times[i], keys[i], values[i]);
             }
             let mut run: PaneStore<SumAgg> = PaneStore::new(window);
-            run.update_run(&times, &keys, &keys, &values);
-            assert_eq!(run.updates(), per_event.updates());
-            assert_eq!(run.work_sink(), per_event.work_sink());
+            run.update_run(&times, &keys, &values);
+            assert_eq!(run.0.updates, per_event.0.updates);
+            assert_eq!(run.0.work_sink, per_event.0.work_sink);
             loop {
                 let a = per_event.pop_due(u64::MAX);
                 let b = run.pop_due(u64::MAX);
@@ -652,7 +628,7 @@ mod tests {
     #[test]
     fn hopping_events_hit_multiple_instances() {
         let mut store: PaneStore<SumAgg> = PaneStore::new(w(10, 5));
-        store.update_point(7, 1, 1, 1.0); // instances [0,10) and [5,15)
+        store.update_point(7, 1, 1.0); // instances [0,10) and [5,15)
         let (iv, pane) = store.pop_due(10).unwrap();
         assert_eq!(iv, Interval::new(0, 10));
         assert_eq!(pane.get(1), Some(&1.0));
@@ -694,14 +670,14 @@ mod tests {
             ^ element_work(2, DEFAULT_ELEMENT_WORK)
             ^ element_work(1, DEFAULT_ELEMENT_WORK)
             ^ element_work(1 ^ 2, DEFAULT_ELEMENT_WORK);
-        assert_eq!(hopping.work_sink(), expected);
-        assert_eq!(hopping.combines(), 4); // 2 entries x 2 instances
+        assert_eq!(hopping.0.work_sink, expected);
+        assert_eq!(hopping.0.combines, 4); // 2 entries x 2 instances
     }
 
     #[test]
     fn empty_instances_are_skipped() {
         let mut store: PaneStore<SumAgg> = PaneStore::new(w(10, 10));
-        store.update_point(35, 0, 0, 2.0); // only instance [30, 40) has data
+        store.update_point(35, 0, 2.0); // only instance [30, 40) has data
         let (iv, pane) = store.pop_due(100).unwrap();
         assert_eq!(iv, Interval::new(30, 40));
         assert_eq!(pane.get(0), Some(&2.0));
@@ -713,7 +689,7 @@ mod tests {
         let mut store: PaneStore<SumAgg> = PaneStore::new(w(10, 10));
         assert!(store.pop_due(1_000_000).is_none());
         // The cursor jumped: a later event lands in the right instance.
-        store.update_point(1_000_005, 0, 0, 1.0);
+        store.update_point(1_000_005, 0, 1.0);
         let (iv, _) = store.pop_due(u64::MAX).unwrap();
         assert_eq!(iv, Interval::new(1_000_000, 1_000_010));
     }
@@ -724,7 +700,7 @@ mod tests {
         for round in 0u64..100 {
             for t in round * 10..(round + 1) * 10 {
                 let key = (t % 3) as u32;
-                store.update_point(t, key, key, 1.0);
+                store.update_point(t, key, 1.0);
             }
             if round > 0 {
                 assert!(store.pop_due(round * 10).is_some());
@@ -732,11 +708,7 @@ mod tests {
         }
         // One open pane plus at most a couple of spares — not 100 slabs.
         assert!(store.open_panes() <= 2, "{}", store.open_panes());
-        assert!(
-            store.deque.spare.len() <= 3,
-            "{} spares",
-            store.deque.spare.len()
-        );
+        assert!(store.spares() <= 3, "{} spares", store.spares());
     }
 
     #[test]
@@ -745,32 +717,24 @@ mod tests {
         // the spare pool must keep at most the steady-state count, not
         // the whole burst.
         let mut store: PaneStore<SumAgg> = PaneStore::new(w(10, 10));
-        store.update_point(0, 0, 0, 1.0);
-        store.update_point(100_000, 0, 0, 1.0); // gap-fills ~10k instances
+        store.update_point(0, 0, 1.0);
+        store.update_point(100_000, 0, 1.0); // gap-fills ~10k instances
         let mut sealed = 0;
         while store.prepare_due(u64::MAX).is_some() {
             store.retire_front();
             sealed += 1;
         }
         assert_eq!(sealed, 2); // only the two non-empty instances emit
-        assert!(
-            store.deque.spare.len() <= 2,
-            "{} spares retained",
-            store.deque.spare.len()
-        );
+        assert!(store.spares() <= 2, "{} spares retained", store.spares());
 
         // Same bound for a hopping window (r/s + 1 = 11).
         let mut store: PaneStore<SumAgg> = PaneStore::new(w(100, 10));
-        store.update_point(0, 0, 0, 1.0);
-        store.update_point(50_000, 0, 0, 1.0);
+        store.update_point(0, 0, 1.0);
+        store.update_point(50_000, 0, 1.0);
         while store.prepare_due(u64::MAX).is_some() {
             store.retire_front();
         }
-        assert!(
-            store.deque.spare.len() <= 11,
-            "{} spares retained",
-            store.deque.spare.len()
-        );
+        assert!(store.spares() <= 11, "{} spares retained", store.spares());
     }
 
     #[test]
@@ -780,7 +744,7 @@ mod tests {
             while store.prepare_due(t).is_some() {
                 store.retire_front();
             }
-            store.update_point(t, 0, 0, 1.0);
+            store.update_point(t, 0, 1.0);
         }
         assert!(
             store.open_panes() <= 11,

@@ -5,7 +5,7 @@
 //! emission. The same property production engines exploit for operator
 //! parallelism (Trill's `Map`/`Reduce` groupings, Flink's keyed streams)
 //! applies here: hash-route events by key across N worker threads, run one
-//! monomorphized [`PlanPipeline`] per worker over its key subset, and the
+//! [`PlanPipeline`] per worker over its key subset, and the
 //! union of the shard outputs is exactly the single-threaded result —
 //! byte-identical after canonical ordering, because each key's accumulator
 //! folds the same values in the same order it would on one core.
@@ -33,6 +33,7 @@ use crate::checkpoint::{self, CheckpointError, PipelineImage};
 use crate::error::{EngineError, Result};
 use crate::event::{sorted_results, Event, WindowResult};
 use crate::executor::{ExecStats, PipelineOptions, PlanPipeline, RunOutput};
+use crate::group::ExecBackend;
 use fw_core::QueryPlan;
 use std::num::NonZeroUsize;
 use std::sync::mpsc::{self, Receiver, SyncSender};
@@ -366,31 +367,9 @@ impl ShardedPipeline {
     /// Compiles `plan` once per shard and spawns the worker threads.
     /// `shards` is clamped to at least 1.
     pub fn compile(plan: &QueryPlan, opts: PipelineOptions, shards: usize) -> Result<Self> {
-        Self::compile_impl(plan, opts, shards, false)
-    }
-
-    /// Like [`Self::compile`], but every shard worker runs the slot-based
-    /// group core ([`PlanPipeline::compile_grouped`]) so the pipeline
-    /// supports live plan swaps via [`Self::rebuild`].
-    pub fn compile_grouped(plan: &QueryPlan, opts: PipelineOptions, shards: usize) -> Result<Self> {
-        Self::compile_impl(plan, opts, shards, true)
-    }
-
-    fn compile_impl(
-        plan: &QueryPlan,
-        opts: PipelineOptions,
-        shards: usize,
-        grouped: bool,
-    ) -> Result<Self> {
-        let shards = shards.max(1);
-        let mut pipelines = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            pipelines.push(if grouped {
-                PlanPipeline::compile_grouped(plan, opts)?
-            } else {
-                PlanPipeline::compile(plan, opts)?
-            });
-        }
+        let pipelines = (0..shards.max(1))
+            .map(|_| PlanPipeline::compile(plan, opts))
+            .collect::<Result<Vec<_>>>()?;
         Ok(Self::from_pipelines(pipelines, opts))
     }
 
@@ -675,8 +654,7 @@ impl ShardedPipeline {
     /// shard-local — keys never move between shards, so each worker
     /// exports and re-adopts exactly its own key subset. The call is a
     /// barrier: it returns once every shard has swapped (or the first
-    /// shard error once one fails). Requires the pipeline to have been
-    /// compiled with [`Self::compile_grouped`].
+    /// shard error once one fails).
     pub fn rebuild(&mut self, plan: &QueryPlan, watermark: u64) -> Result<()> {
         self.check_error()?;
         self.flush_all();
@@ -943,6 +921,72 @@ impl ShardedPipeline {
     #[must_use]
     pub fn buffered(&self) -> usize {
         self.scatter.iter().map(EventBatch::len).sum()
+    }
+}
+
+impl ExecBackend for ShardedPipeline {
+    fn push(&mut self, event: Event) -> Result<()> {
+        ShardedPipeline::push(self, event)
+    }
+
+    fn push_batch(&mut self, events: &[Event]) -> Result<()> {
+        ShardedPipeline::push_batch(self, events)
+    }
+
+    fn push_columns(&mut self, times: &[u64], keys: &[u32], values: &[f64]) -> Result<()> {
+        ShardedPipeline::push_columns(self, times, keys, values)
+    }
+
+    fn advance_watermark(&mut self, watermark: u64) -> Result<()> {
+        ShardedPipeline::advance_watermark(self, watermark)
+    }
+
+    fn poll_results(&mut self) -> Vec<WindowResult> {
+        ShardedPipeline::poll_results(self)
+    }
+
+    fn rebuild(&mut self, plan: &QueryPlan, watermark: u64) -> Result<()> {
+        ShardedPipeline::rebuild(self, plan, watermark)
+    }
+
+    fn finish(self: Box<Self>) -> Result<RunOutput> {
+        ShardedPipeline::finish(*self)
+    }
+
+    fn watermark(&self) -> u64 {
+        ShardedPipeline::watermark(self)
+    }
+
+    fn events_pushed(&self) -> u64 {
+        ShardedPipeline::events_pushed(self)
+    }
+
+    fn results_emitted(&self) -> u64 {
+        self.snapshot().1
+    }
+
+    fn stats(&self) -> ExecStats {
+        self.snapshot().2
+    }
+
+    fn interner_stats(&self) -> (u64, u64) {
+        ShardedPipeline::interner_stats(self)
+    }
+
+    fn node_profiles(&self) -> Vec<crate::profile::NodeProfile> {
+        ShardedPipeline::node_profiles(self)
+    }
+
+    fn buffered(&self) -> usize {
+        ShardedPipeline::buffered(self)
+    }
+
+    fn shards(&self) -> usize {
+        ShardedPipeline::shards(self)
+    }
+
+    fn export_snapshot(&mut self, plan: &QueryPlan) -> checkpoint::CheckpointResult<Vec<u8>> {
+        checkpoint::encode_pipeline_doc(&self.export_merged_image(plan)?)
     }
 }
 

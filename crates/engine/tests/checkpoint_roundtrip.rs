@@ -9,10 +9,12 @@
 //! restore to a still-consistent pipeline — never panic, never silently
 //! drop panes.
 
-use fw_core::{AggregateFunction, Optimizer, PlanChoice, Window, WindowQuery, WindowSet};
+use fw_core::{
+    AggregateFunction, AggregateSpec, Optimizer, PlanChoice, Window, WindowQuery, WindowSet,
+};
 use fw_engine::{
-    sorted_results, CheckpointError, Event, PipelineOptions, PlanPipeline, ShardedPipeline,
-    WindowResult,
+    reference_results, sorted_results, CheckpointError, Event, PipelineOptions, PlanPipeline,
+    ShardedPipeline, WindowResult,
 };
 
 /// The deterministic PRNG used across the workspace instead of `rand`
@@ -78,8 +80,7 @@ fn bits(results: Vec<WindowResult>) -> Vec<(Window, u64, u64, u32, u32, u64)> {
         .collect()
 }
 
-/// Either backend at a given shard count (`0` = single-threaded), always
-/// on the slot-based group core so the state is exportable.
+/// Either backend at a given shard count (`0` = single-threaded).
 enum Exec {
     Single(Box<PlanPipeline>),
     Sharded(ShardedPipeline),
@@ -88,11 +89,9 @@ enum Exec {
 impl Exec {
     fn compile(plan: &fw_core::QueryPlan, options: PipelineOptions, shards: usize) -> Exec {
         if shards == 0 {
-            Exec::Single(Box::new(
-                PlanPipeline::compile_grouped(plan, options).unwrap(),
-            ))
+            Exec::Single(Box::new(PlanPipeline::compile(plan, options).unwrap()))
         } else {
-            Exec::Sharded(ShardedPipeline::compile_grouped(plan, options, shards).unwrap())
+            Exec::Sharded(ShardedPipeline::compile(plan, options, shards).unwrap())
         }
     }
 
@@ -314,6 +313,79 @@ fn single_checkpoint_restores_into_sharded_and_back() {
             cycle.recovered, expected,
             "{shards} -> {restore_shards} backend swap diverged"
         );
+    }
+}
+
+#[test]
+fn single_term_state_crosses_layouts_and_shard_counts() {
+    // A single-term plan runs on the monomorphized pane layout. Its open
+    // state must survive (a) a plan swap to a two-term plan and back — the
+    // layout changes at each swap, so panes travel as layout-neutral rows —
+    // and (b) a checkpoint restored at a different shard count, each
+    // bit-identical to the naive oracle.
+    let tumbling = [w(16, 16), w(32, 32), w(48, 48)];
+    let hopping = [w(20, 10), w(40, 10), w(60, 20)];
+    let mut rng = SplitMix64(0x1A70_0715);
+    for windows in [tumbling, hopping] {
+        for function in [
+            AggregateFunction::Min,
+            AggregateFunction::Sum,
+            AggregateFunction::Avg,
+            AggregateFunction::Median,
+        ] {
+            let set = WindowSet::new(windows.to_vec()).unwrap();
+            let factored =
+                |query: &WindowQuery| Optimizer::default().optimize(query).unwrap().factored.plan;
+            let one = factored(&WindowQuery::new(set.clone(), function));
+            let two = factored(
+                &WindowQuery::with_aggregates(
+                    set,
+                    vec![
+                        AggregateSpec::new(function),
+                        AggregateSpec::new(AggregateFunction::Count),
+                    ],
+                )
+                .unwrap(),
+            );
+            let events = jittered_stream(480, 8, 0, &mut rng);
+            let expected = bits(reference_results(&windows, function, &events));
+            let label = format!("{function:?} over {windows:?}");
+
+            // (a) one term -> two terms -> one term. The COUNT rider is new
+            // at the first swap and gone after the second; only the
+            // query's own term (index 0 in both plans) is compared.
+            let mut pipeline = PlanPipeline::compile(&one, opts(0)).unwrap();
+            let mut rows = Vec::new();
+            for (range, next) in [
+                (0..170, Some(&two)),
+                (170..330, Some(&one)),
+                (330..480, None),
+            ] {
+                let boundary = range.end as u64;
+                pipeline.push_batch(&events[range]).unwrap();
+                if let Some(next) = next {
+                    pipeline.rebuild(next, boundary).unwrap();
+                }
+                rows.extend(pipeline.poll_results());
+            }
+            let tail = pipeline.finish().unwrap();
+            assert_eq!(tail.stats.replans, 2);
+            rows.extend(tail.results);
+            rows.retain(|r| r.agg == 0);
+            assert_eq!(bits(rows), expected, "{label}: layout swaps diverged");
+
+            // (b) checkpoint on one backend, restore at another width.
+            for (shards, restore_shards) in [(0usize, 3usize), (2, 0)] {
+                let cut = 100 + rng.below(300) as usize;
+                let cycle =
+                    crash_recover_cycle(&one, &events, 0, shards, restore_shards, cut, &mut rng);
+                assert_eq!(
+                    cycle.recovered, expected,
+                    "{label}: {shards} -> {restore_shards} restore diverged"
+                );
+                assert_eq!(cycle.continued, expected, "{label}: continuation");
+            }
+        }
     }
 }
 

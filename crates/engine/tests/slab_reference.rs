@@ -12,7 +12,8 @@
 //! - **Compaction safety**: a long stream whose key population churns in
 //!   disjoint phases, with idle-point watermark announcements in between,
 //!   recycles the interner (observable as a slot high-water far below the
-//!   total distinct-key count) without perturbing a single result bit.
+//!   total distinct-key count) without perturbing a single result bit —
+//!   including across a mid-stream checkpoint and restore.
 
 use fw_core::{AggregateFunction, Optimizer, PlanChoice, Window, WindowQuery, WindowSet};
 use fw_engine::{
@@ -143,7 +144,31 @@ fn compaction_under_phase_churn_keeps_results_bit_identical() {
         let times: Vec<u64> = chunk.iter().map(|e| e.time).collect();
         let keys: Vec<u32> = chunk.iter().map(|e| e.key).collect();
         let values: Vec<f64> = chunk.iter().map(|e| e.value).collect();
-        pipeline.push_columns(&times, &keys, &values).unwrap();
+        // Mid-way through the phase after the first compaction, crash:
+        // checkpoint, drop the pipeline, and carry on from the restored
+        // bytes. The open pane's slots were issued by a recycled interner;
+        // the snapshot must not depend on them.
+        let cut = if phase == 2 { chunk.len() / 2 + 3 } else { 0 };
+        if cut > 0 {
+            assert!(pipeline.compactions() >= 1, "no compaction to survive");
+            pipeline
+                .push_columns(&times[..cut], &keys[..cut], &values[..cut])
+                .unwrap();
+            collected.extend(pipeline.poll_results());
+            let mut snapshot = Vec::new();
+            pipeline
+                .checkpoint(&out.factored.plan, &mut snapshot)
+                .unwrap();
+            pipeline = PlanPipeline::restore(
+                &out.factored.plan,
+                PipelineOptions::collecting(),
+                &mut snapshot.as_slice(),
+            )
+            .unwrap();
+        }
+        pipeline
+            .push_columns(&times[cut..], &keys[cut..], &values[cut..])
+            .unwrap();
         // Announce at the phase boundary (a multiple of the pane size):
         // everything fed so far seals, leaving the stores idle.
         pipeline

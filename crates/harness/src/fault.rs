@@ -66,8 +66,8 @@ impl<'a> CrashCycle<'a> {
     /// A cycle feeding `events` through `session` in `batch`-sized
     /// pushes, announcing a watermark every `watermark_every` events
     /// (trailing the stream maximum by `disorder`, which must match the
-    /// session's out-of-order tolerance). The session must be
-    /// [`Session::durable`] and collect results.
+    /// session's out-of-order tolerance). The session must collect
+    /// results.
     #[must_use]
     pub fn new(
         session: &'a Session,

@@ -180,13 +180,8 @@ impl GroupHost {
                     out_of_order: self.config.out_of_order,
                     profile: self.config.profile,
                 };
-                // Durable compile: every member runs on the slot-based
-                // group core, so the host can checkpoint at any moment.
-                let mut exec = GroupExec::compile_durable(
-                    &plan,
-                    options,
-                    self.config.parallelism.shard_count(),
-                )?;
+                let mut exec =
+                    GroupExec::compile(&plan, options, self.config.parallelism.shard_count())?;
                 // Fast-forward the fresh executor to the stream horizon
                 // so ordering checks and instance sealing line up with
                 // what earlier generations already consumed.

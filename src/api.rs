@@ -48,9 +48,9 @@ use fw_core::{
 };
 use fw_dist::DistPipeline;
 use fw_engine::{
-    CheckpointError, EngineError, Event, ExecStats, NodeProfile, Parallelism, PipelineOptions,
-    PlanPipeline, ProfileLevel, RunOutput, ShardedPipeline, Throughput, TraceEvent, TraceEventKind,
-    TraceRing, WindowResult,
+    CheckpointError, EngineError, Event, ExecBackend, ExecStats, NodeProfile, Parallelism,
+    PipelineOptions, PlanPipeline, ProfileLevel, RunOutput, ShardedPipeline, Throughput,
+    TraceEvent, TraceEventKind, TraceRing, WindowResult,
 };
 use fw_sql::ParseError;
 use std::cell::OnceCell;
@@ -187,9 +187,6 @@ pub struct Session {
     parallelism: Parallelism,
     /// Re-optimization drift threshold; `Some` enables adaptive planning.
     adaptive: Option<f64>,
-    /// Compile onto the slot-based group core so the pipeline can be
-    /// checkpointed ([`Pipeline::checkpoint`]).
-    durable: bool,
     outcome: OnceCell<OptimizationOutcome>,
 }
 
@@ -213,7 +210,6 @@ impl Session {
             profile: ProfileLevel::Off,
             parallelism: Parallelism::Sequential,
             adaptive: None,
-            durable: false,
             outcome: OnceCell::new(),
         }
     }
@@ -295,26 +291,19 @@ impl Session {
     /// results are identical to a fixed-plan run, and
     /// [`fw_engine::ExecStats::replans`] counts the swaps.
     ///
-    /// Adaptive pipelines compile onto the slot-based group core (the
-    /// only core that supports live plan swaps), so single-aggregate
-    /// queries give up the monomorphized fast path. Rejected at build
-    /// time for all-holistic queries, whose three plans are identical at
-    /// every rate.
+    /// Rejected at build time for all-holistic queries, whose three plans
+    /// are identical at every rate.
     #[must_use]
     pub fn adaptive(mut self, threshold: f64) -> Self {
         self.adaptive = Some(threshold);
         self
     }
 
-    /// Makes built pipelines durable: they compile onto the slot-based
-    /// group core (the only core whose pane state is exportable) so
-    /// [`Pipeline::checkpoint`] works. Single-aggregate queries give up
-    /// the monomorphized fast path, exactly as with [`Session::adaptive`]
-    /// (which implies durability). [`Session::restore`] accepts snapshots
-    /// regardless of this flag.
+    /// A no-op kept for source compatibility: every pipeline can
+    /// [`Pipeline::checkpoint`] and restore, whatever this is set to. (It
+    /// used to select a slower, exportable compile path.)
     #[must_use]
-    pub fn durable(mut self, durable: bool) -> Self {
-        self.durable = durable;
+    pub fn durable(self, _durable: bool) -> Self {
         self
     }
 
@@ -403,68 +392,42 @@ impl Session {
     /// is cheap. With [`Session::parallelism`] set, the pipeline
     /// transparently runs on the key-sharded multi-core backend.
     pub fn build(&self) -> ApiResult<Pipeline> {
+        // Distributed parallelism dispatches on the variant, not the
+        // shard count: the same worker number means processes there,
+        // threads here.
+        self.pipeline_on(|plan, options| {
+            Ok(match self.parallelism {
+                Parallelism::Distributed { workers } => {
+                    Box::new(DistPipeline::compile(plan, options, workers)?)
+                }
+                parallelism => match parallelism.shard_count() {
+                    0 => Box::new(PlanPipeline::compile(plan, options)?),
+                    shards => Box::new(ShardedPipeline::compile(plan, options, shards)?),
+                },
+            })
+        })
+    }
+
+    /// Selects the plan, lets `backend` compile or restore it at this
+    /// session's options, and wraps the result with the plan's provenance.
+    fn pipeline_on(
+        &self,
+        backend: impl FnOnce(&QueryPlan, PipelineOptions) -> ApiResult<Box<dyn ExecBackend>>,
+    ) -> ApiResult<Pipeline> {
         let outcome = self.optimize()?;
         let bundle = outcome.select(self.choice).clone();
-        let choice = outcome.resolve(self.choice);
-        let semantics = outcome.semantics;
         let options = PipelineOptions {
             collect: self.collect,
             element_work: self.element_work,
             out_of_order: self.out_of_order,
             profile: self.profile,
         };
-        let adaptive = self.adaptive_state(semantics)?;
-        // Adaptive pipelines swap plans in place and durable pipelines
-        // export their pane state, both of which only the slot-based
-        // group core supports.
-        // Distributed parallelism dispatches on the variant, not the
-        // shard count: the same worker number means processes there,
-        // threads here.
-        if let Parallelism::Distributed { workers } = self.parallelism {
-            let grouped = adaptive.is_some() || self.durable;
-            let backend = Backend::Dist(Box::new(DistPipeline::compile(
-                &bundle.plan,
-                options,
-                grouped,
-                workers,
-            )?));
-            return Ok(Pipeline {
-                backend,
-                bundle,
-                choice,
-                semantics,
-                adaptive,
-                model: self.model,
-                profile: self.profile,
-                trace: TraceRing::default(),
-                seen_emitted: 0,
-                seen_compactions: 0,
-            });
-        }
-        let backend = match (
-            self.parallelism.shard_count(),
-            adaptive.is_some() || self.durable,
-        ) {
-            (0, false) => Backend::Single(Box::new(PlanPipeline::compile(&bundle.plan, options)?)),
-            (0, true) => Backend::Single(Box::new(PlanPipeline::compile_grouped(
-                &bundle.plan,
-                options,
-            )?)),
-            (shards, false) => {
-                Backend::Sharded(ShardedPipeline::compile(&bundle.plan, options, shards)?)
-            }
-            (shards, true) => Backend::Sharded(ShardedPipeline::compile_grouped(
-                &bundle.plan,
-                options,
-                shards,
-            )?),
-        };
         Ok(Pipeline {
-            backend,
+            adaptive: self.adaptive_state(outcome.semantics)?,
+            backend: backend(&bundle.plan, options)?,
             bundle,
-            choice,
-            semantics,
-            adaptive,
+            choice: outcome.resolve(self.choice),
+            semantics: outcome.semantics,
             model: self.model,
             profile: self.profile,
             trace: TraceRing::default(),
@@ -507,56 +470,26 @@ impl Session {
     /// checkpoint taken at N shards restores into M worker threads (or
     /// the single-threaded backend) with byte-identical results.
     ///
-    /// Restored pipelines are always durable. Adaptive rate-estimator
-    /// state is deliberately not part of a snapshot — a restored adaptive
-    /// session re-learns the observed rate from the replayed stream.
+    /// Adaptive rate-estimator state is deliberately not part of a
+    /// snapshot — a restored adaptive session re-learns the observed rate
+    /// from the replayed stream.
     pub fn restore<R: std::io::Read + ?Sized>(&self, r: &mut R) -> ApiResult<Pipeline> {
-        let outcome = self.optimize()?;
-        let bundle = outcome.select(self.choice).clone();
-        let choice = outcome.resolve(self.choice);
-        let semantics = outcome.semantics;
-        let options = PipelineOptions {
-            collect: self.collect,
-            element_work: self.element_work,
-            out_of_order: self.out_of_order,
-            profile: self.profile,
-        };
-        let adaptive = self.adaptive_state(semantics)?;
-        let backend = if let Parallelism::Distributed { workers } = self.parallelism {
-            // The distributed restore re-partitions the document itself;
-            // slurp the reader (checkpoints are in-memory/file sized).
-            let mut doc = Vec::new();
-            r.read_to_end(&mut doc).map_err(|e| CheckpointError::Io {
-                kind: e.kind(),
-                message: e.to_string(),
-            })?;
-            Backend::Dist(Box::new(DistPipeline::restore(
-                &bundle.plan,
-                options,
-                true,
-                workers,
-                &doc,
-            )?))
-        } else {
-            match self.parallelism.shard_count() {
-                0 => Backend::Single(Box::new(PlanPipeline::restore(&bundle.plan, options, r)?)),
-                shards => {
-                    Backend::Sharded(ShardedPipeline::restore(&bundle.plan, options, shards, r)?)
+        let mut pipeline = self.pipeline_on(|plan, options| {
+            Ok(match self.parallelism {
+                Parallelism::Distributed { workers } => {
+                    // The distributed restore re-partitions the document
+                    // itself; slurp the reader (checkpoints are
+                    // in-memory/file sized).
+                    let mut doc = Vec::new();
+                    r.read_to_end(&mut doc).map_err(CheckpointError::from)?;
+                    Box::new(DistPipeline::restore(plan, options, workers, &doc)?)
                 }
-            }
-        };
-        let mut pipeline = Pipeline {
-            backend,
-            bundle,
-            choice,
-            semantics,
-            adaptive,
-            model: self.model,
-            profile: self.profile,
-            trace: TraceRing::default(),
-            seen_emitted: 0,
-            seen_compactions: 0,
-        };
+                parallelism => match parallelism.shard_count() {
+                    0 => Box::new(PlanPipeline::restore(plan, options, r)?),
+                    shards => Box::new(ShardedPipeline::restore(plan, options, shards, r)?),
+                },
+            })
+        })?;
         let watermark = pipeline.watermark();
         let events = pipeline.events_processed();
         pipeline
@@ -594,15 +527,6 @@ impl Session {
             runs: repeats,
         })
     }
-}
-
-/// The execution backend a [`Pipeline`] runs on: the single-threaded
-/// in-process engine, or the key-sharded multi-core engine.
-#[derive(Debug)]
-enum Backend {
-    Single(Box<PlanPipeline>),
-    Sharded(ShardedPipeline),
-    Dist(Box<DistPipeline>),
 }
 
 /// EWMA weight of the newest rate observation for adaptive sessions: a
@@ -647,7 +571,7 @@ impl AdaptiveState {
 /// canonical `(window, instance, key)` order.
 #[derive(Debug)]
 pub struct Pipeline {
-    backend: Backend,
+    backend: Box<dyn ExecBackend>,
     bundle: PlanBundle,
     choice: PlanChoice,
     semantics: Option<Semantics>,
@@ -670,11 +594,7 @@ impl Pipeline {
     /// Pushes one event. Out-of-order input within the session's tolerance
     /// is repaired; anything later is an [`EngineError::OutOfOrderEvent`].
     pub fn push(&mut self, event: Event) -> ApiResult<()> {
-        match &mut self.backend {
-            Backend::Single(p) => p.push(event)?,
-            Backend::Sharded(p) => p.push(event)?,
-            Backend::Dist(p) => p.push(event)?,
-        }
+        self.backend.push(event)?;
         if let Some(state) = &mut self.adaptive {
             state.observe(event.time);
         }
@@ -684,11 +604,7 @@ impl Pipeline {
     /// Pushes a batch of in-order events (timed once around the batch;
     /// scattered by key in one pass on the sharded backend).
     pub fn push_batch(&mut self, events: &[Event]) -> ApiResult<()> {
-        match &mut self.backend {
-            Backend::Single(p) => p.push_batch(events)?,
-            Backend::Sharded(p) => p.push_batch(events)?,
-            Backend::Dist(p) => p.push_batch(events)?,
-        }
+        self.backend.push_batch(events)?;
         if let Some(state) = &mut self.adaptive {
             for event in events {
                 state.observe(event.time);
@@ -706,11 +622,7 @@ impl Pipeline {
     /// An [`fw_engine::EventBatch`] provides the columns via
     /// `batch.columns()`.
     pub fn push_columns(&mut self, times: &[u64], keys: &[u32], values: &[f64]) -> ApiResult<()> {
-        match &mut self.backend {
-            Backend::Single(p) => p.push_columns(times, keys, values)?,
-            Backend::Sharded(p) => p.push_columns(times, keys, values)?,
-            Backend::Dist(p) => p.push_columns(times, keys, values)?,
-        }
+        self.backend.push_columns(times, keys, values)?;
         if let Some(state) = &mut self.adaptive {
             for &time in times {
                 state.observe(time);
@@ -729,11 +641,7 @@ impl Pipeline {
     /// swaps plans in place before returning (results are unaffected —
     /// window state migrates across the swap).
     pub fn advance_watermark(&mut self, watermark: u64) -> ApiResult<()> {
-        match &mut self.backend {
-            Backend::Single(p) => p.advance_watermark(watermark)?,
-            Backend::Sharded(p) => p.advance_watermark(watermark)?,
-            Backend::Dist(p) => p.advance_watermark(watermark)?,
-        }
+        self.backend.advance_watermark(watermark)?;
         self.note_boundary(watermark);
         self.maybe_replan(watermark)
     }
@@ -741,14 +649,14 @@ impl Pipeline {
     /// Records the boundary in the trace ring: the seal itself, plus any
     /// interner compactions the core performed since the last boundary
     /// (the cores only maintain counters; the facade owns the ring, so
-    /// the hot path stays allocation-free). On the sharded backend the
-    /// payload counts stay zero — reading them would synchronize every
-    /// worker at every watermark.
+    /// the hot path stays allocation-free). On the sharded and
+    /// distributed backends the payload counts stay zero — reading them
+    /// would synchronize every worker at every watermark.
     fn note_boundary(&mut self, watermark: u64) {
-        let (emitted, compactions) = match &self.backend {
-            Backend::Single(p) => (p.results_emitted(), p.compactions()),
-            Backend::Sharded(_) | Backend::Dist(_) => (self.seen_emitted, self.seen_compactions),
-        };
+        let (emitted, compactions) = self
+            .backend
+            .seal_counters()
+            .unwrap_or((self.seen_emitted, self.seen_compactions));
         self.trace
             .record(TraceEventKind::Seal, watermark, emitted - self.seen_emitted);
         if compactions > self.seen_compactions {
@@ -781,11 +689,7 @@ impl Pipeline {
         }
         let bundle = bundle.clone();
         let choice = outcome.resolve(state.requested);
-        match &mut self.backend {
-            Backend::Single(p) => p.rebuild(&bundle.plan, watermark)?,
-            Backend::Sharded(p) => p.rebuild(&bundle.plan, watermark)?,
-            Backend::Dist(p) => p.rebuild(&bundle.plan, watermark)?,
-        }
+        self.backend.rebuild(&bundle.plan, watermark)?;
         self.bundle = bundle;
         self.choice = choice;
         // Keep the profile's predicted side honest: the executing plan is
@@ -813,16 +717,9 @@ impl Pipeline {
     /// at event number [`Pipeline::events_processed`] as observed at
     /// checkpoint time; recovery is then exactly-once — no window is
     /// emitted twice or skipped.
-    ///
-    /// Requires a durable pipeline ([`Session::durable`], implied by
-    /// [`Session::adaptive`] and by [`Session::restore`]); otherwise
-    /// fails with [`CheckpointError::Unsupported`].
     pub fn checkpoint<W: std::io::Write + ?Sized>(&mut self, w: &mut W) -> ApiResult<()> {
-        match &mut self.backend {
-            Backend::Single(p) => p.checkpoint(&self.bundle.plan, w)?,
-            Backend::Sharded(p) => p.checkpoint(&self.bundle.plan, w)?,
-            Backend::Dist(p) => p.checkpoint(w)?,
-        }
+        let doc = self.backend.export_snapshot(&self.bundle.plan)?;
+        w.write_all(&doc).map_err(CheckpointError::from)?;
         let watermark = self.watermark();
         let events = self.events_processed();
         self.trace
@@ -836,21 +733,13 @@ impl Pipeline {
     /// results come back canonically ordered.
     #[must_use]
     pub fn poll_results(&mut self) -> Vec<WindowResult> {
-        match &mut self.backend {
-            Backend::Single(p) => p.poll_results(),
-            Backend::Sharded(p) => p.poll_results(),
-            Backend::Dist(p) => p.poll_results(),
-        }
+        self.backend.poll_results()
     }
 
     /// Ends the stream and returns the run's accounting plus any results
     /// not yet polled.
     pub fn finish(self) -> ApiResult<RunOutput> {
-        match self.backend {
-            Backend::Single(p) => Ok(p.finish()?),
-            Backend::Sharded(p) => Ok(p.finish()?),
-            Backend::Dist(p) => Ok(p.finish()?),
-        }
+        Ok(self.backend.finish()?)
     }
 
     /// The logical plan this pipeline executes.
@@ -900,32 +789,20 @@ impl Pipeline {
     /// [`RunOutput::events_processed`].
     #[must_use]
     pub fn events_processed(&self) -> u64 {
-        match &self.backend {
-            Backend::Single(p) => p.events_processed() + p.buffered() as u64,
-            Backend::Sharded(p) => p.events_pushed(),
-            Backend::Dist(p) => p.events_pushed(),
-        }
+        self.backend.events_pushed()
     }
 
     /// Results emitted so far (including polled ones). A synchronizing
     /// snapshot on the sharded backend.
     #[must_use]
     pub fn results_emitted(&self) -> u64 {
-        match &self.backend {
-            Backend::Single(p) => p.results_emitted(),
-            Backend::Sharded(p) => p.snapshot().1,
-            Backend::Dist(p) => p.results_emitted(),
-        }
+        self.backend.results_emitted()
     }
 
     /// Current ordering watermark.
     #[must_use]
     pub fn watermark(&self) -> u64 {
-        match &self.backend {
-            Backend::Single(p) => p.watermark(),
-            Backend::Sharded(p) => p.watermark(),
-            Backend::Dist(p) => p.watermark(),
-        }
+        self.backend.watermark()
     }
 
     /// Cost-model element counts so far (cumulative across any adaptive
@@ -933,11 +810,7 @@ impl Pipeline {
     /// synchronizing snapshot on the sharded backend.
     #[must_use]
     pub fn stats(&self) -> ExecStats {
-        match &self.backend {
-            Backend::Single(p) => p.stats(),
-            Backend::Sharded(p) => p.snapshot().2,
-            Backend::Dist(p) => p.stats(),
-        }
+        self.backend.stats()
     }
 
     /// Key-interner high-water mark as `(slots, bytes)`: the most
@@ -946,11 +819,7 @@ impl Pipeline {
     /// backend (a synchronizing snapshot there). Observability only.
     #[must_use]
     pub fn interner_stats(&self) -> (u64, u64) {
-        match &self.backend {
-            Backend::Single(p) => p.interner_stats(),
-            Backend::Sharded(p) => p.interner_stats(),
-            Backend::Dist(p) => p.interner_stats(),
-        }
+        self.backend.interner_stats()
     }
 
     /// Per-plan-node observed counters (empty vectors of zeros unless the
@@ -960,11 +829,7 @@ impl Pipeline {
     /// plan generations. A synchronizing snapshot on the sharded backend.
     #[must_use]
     pub fn node_profiles(&self) -> Vec<NodeProfile> {
-        match &self.backend {
-            Backend::Single(p) => p.node_profiles(),
-            Backend::Sharded(p) => p.node_profiles(),
-            Backend::Dist(p) => p.node_profiles(),
-        }
+        self.backend.node_profiles()
     }
 
     /// The `EXPLAIN ANALYZE` report: every plan node's observed counters
@@ -1050,22 +915,14 @@ impl Pipeline {
     /// the ingest-side scatter buffers (sharded).
     #[must_use]
     pub fn buffered(&self) -> usize {
-        match &self.backend {
-            Backend::Single(p) => p.buffered(),
-            Backend::Sharded(p) => p.buffered(),
-            Backend::Dist(p) => p.buffered(),
-        }
+        self.backend.buffered()
     }
 
-    /// Number of shard worker threads (`0` on the single-threaded
-    /// backend).
+    /// Number of shard worker threads or processes (`0` on the
+    /// single-threaded backend).
     #[must_use]
     pub fn shards(&self) -> usize {
-        match &self.backend {
-            Backend::Single(_) => 0,
-            Backend::Sharded(p) => p.shards(),
-            Backend::Dist(p) => p.workers(),
-        }
+        self.backend.shards()
     }
 }
 
@@ -1448,13 +1305,38 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_requires_a_durable_session() {
-        let mut pipeline = Session::from_query(demo_query()).build().unwrap();
-        let err = pipeline.checkpoint(&mut Vec::new()).unwrap_err();
-        assert!(matches!(
-            err,
-            ApiError::Checkpoint(CheckpointError::Unsupported { .. })
-        ));
+    fn checkpoint_needs_no_durable_flag() {
+        // `durable` no longer selects a compile path: a session built
+        // without it checkpoints, restores and replays bit-identically,
+        // and setting it changes nothing — the snapshots are the same
+        // bytes.
+        let events = stream(400);
+        let session = Session::from_query(demo_query())
+            .collect_results(true)
+            .element_work(0);
+        let reference = session.run_batch(&events).unwrap();
+        let snapshot_at = |session: &Session| {
+            let mut pipeline = session.build().unwrap();
+            pipeline.push_batch(&events[..250]).unwrap();
+            let delivered = pipeline.poll_results();
+            let mut snapshot = Vec::new();
+            pipeline.checkpoint(&mut snapshot).unwrap();
+            (snapshot, delivered)
+        };
+        let (snapshot, mut delivered) = snapshot_at(&session);
+        assert_eq!(snapshot, snapshot_at(&session.clone().durable(true)).0);
+
+        let mut restored = session.restore(&mut snapshot.as_slice()).unwrap();
+        assert_eq!(restored.events_processed(), 250);
+        restored.push_batch(&events[250..]).unwrap();
+        delivered.extend(restored.finish().unwrap().results);
+        let bits = |rows: Vec<WindowResult>| -> Vec<(WindowResult, u64)> {
+            sorted_results(rows)
+                .into_iter()
+                .map(|r| (r, r.value.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(delivered), bits(reference.results));
     }
 
     #[test]

@@ -73,7 +73,6 @@ pub struct QueryGroup {
     element_work: u32,
     profile: ProfileLevel,
     parallelism: Parallelism,
-    durable: bool,
 }
 
 impl QueryGroup {
@@ -92,7 +91,6 @@ impl QueryGroup {
             element_work: fw_engine::DEFAULT_ELEMENT_WORK,
             profile: ProfileLevel::Off,
             parallelism: Parallelism::Sequential,
-            durable: false,
         }
     }
 
@@ -197,15 +195,10 @@ impl QueryGroup {
         self
     }
 
-    /// Makes the built group durable: every member pipeline compiles onto
-    /// the slot-based group core so [`GroupPipeline::checkpoint`] works.
-    /// Shared-strategy groups are durable regardless of this flag (the
-    /// merged pipeline always runs on that core); the flag matters for
-    /// groups that resolve to the per-query strategy.
-    /// [`QueryGroup::restore`] accepts snapshots regardless.
+    /// A no-op kept for source compatibility: every group can
+    /// [`GroupPipeline::checkpoint`] and restore, whatever this is set to.
     #[must_use]
-    pub fn durable(mut self, durable: bool) -> Self {
-        self.durable = durable;
+    pub fn durable(self, _durable: bool) -> Self {
         self
     }
 
@@ -248,8 +241,6 @@ impl QueryGroup {
                 options,
                 std::sync::Arc::new(fw_dist::DistFactory { workers }),
             )?
-        } else if self.durable {
-            GroupExec::compile_durable(&plan, options, self.parallelism.shard_count())?
         } else {
             GroupExec::compile(&plan, options, self.parallelism.shard_count())?
         };
@@ -304,7 +295,7 @@ impl QueryGroup {
     /// pinned sharing policy and plan-choice policy, so slot identities
     /// line up with the serialized state. [`Self::parallelism`] may
     /// differ freely from the checkpointing run (the snapshot is
-    /// shard-count-free); restored groups are always durable.
+    /// shard-count-free).
     pub fn restore<R: std::io::Read + ?Sized>(&self, r: &mut R) -> ApiResult<GroupPipeline> {
         ckpt::read_header(r, ckpt::KIND_GROUP_FACADE)?;
         let next_id = ckpt::get_u32(r, "next query id")?;
@@ -537,10 +528,6 @@ impl GroupPipeline {
     /// Restore with [`QueryGroup::restore`], then replay the stream
     /// suffix from event number [`Self::events_pushed`] as observed at
     /// checkpoint time; recovery is exactly-once.
-    ///
-    /// Per-query-strategy groups must have been built with
-    /// [`QueryGroup::durable`]; otherwise this fails with
-    /// [`CheckpointError::Unsupported`].
     pub fn checkpoint<W: std::io::Write + ?Sized>(&mut self, w: &mut W) -> ApiResult<()> {
         ckpt::write_header(w, ckpt::KIND_GROUP_FACADE)?;
         ckpt::put_u32(w, self.next_id)?;
@@ -939,28 +926,26 @@ mod tests {
     }
 
     #[test]
-    fn per_query_group_checkpoint_requires_durability() {
+    fn per_query_group_checkpoints_without_the_durable_flag() {
         let builder = QueryGroup::new()
             .query(query(&[20, 40], AggregateFunction::Sum))
             .query(query(&[20, 60], AggregateFunction::Count))
             .sharing(SharingPolicy::Unshared)
             .collect_results(true)
             .element_work(0);
-        let mut plain = builder.clone().build().unwrap();
-        let err = plain.checkpoint(&mut Vec::new()).unwrap_err();
-        assert!(matches!(
-            err,
-            ApiError::Checkpoint(CheckpointError::Unsupported { .. })
-        ));
-
-        // With durability the per-query strategy round-trips too.
         let events = stream(360);
-        let mut durable = builder.clone().durable(true).build().unwrap();
-        durable.push_batch(&events[..200]).unwrap();
-        let mut snapshot = Vec::new();
-        durable.checkpoint(&mut snapshot).unwrap();
-        durable.push_batch(&events[200..]).unwrap();
-        let oracle = durable.finish().unwrap();
+        let run = |builder: &QueryGroup| {
+            let mut group = builder.build().unwrap();
+            group.push_batch(&events[..200]).unwrap();
+            let mut snapshot = Vec::new();
+            group.checkpoint(&mut snapshot).unwrap();
+            group.push_batch(&events[200..]).unwrap();
+            (snapshot, group.finish().unwrap())
+        };
+        // The setter changes nothing: same bytes, same results.
+        let (snapshot, oracle) = run(&builder);
+        let (flagged, _) = run(&builder.clone().durable(true));
+        assert_eq!(snapshot, flagged);
 
         let mut restored = builder.restore(&mut snapshot.as_slice()).unwrap();
         restored.push_batch(&events[200..]).unwrap();

@@ -38,7 +38,6 @@ fn session(
         .parallelism(parallelism)
         .out_of_order(disorder)
         .collect_results(true)
-        .durable(true)
 }
 
 /// An almost-ordered stream: arrival order is event time plus jitter
@@ -177,17 +176,44 @@ fn fixture_stream() -> Vec<Event> {
     stream(EVENTS, 8, 0x601D)
 }
 
-#[test]
-#[ignore = "writes the committed golden fixture; run once per format version"]
-fn regenerate_golden_fixture() {
+/// The snapshot this build writes for the fixture's session and cut.
+fn fixture_snapshot() -> Vec<u8> {
     let events = fixture_stream();
     let mut pipeline = fixture_session().build().unwrap();
     pipeline.push_batch(&events[..FIXTURE_CUT]).unwrap();
     let _ = pipeline.poll_results();
     let mut snapshot = Vec::new();
     pipeline.checkpoint(&mut snapshot).unwrap();
+    snapshot
+}
+
+#[test]
+#[ignore = "writes the committed golden fixture; run once per format version"]
+fn regenerate_golden_fixture() {
     std::fs::create_dir_all(std::path::Path::new(FIXTURE).parent().unwrap()).unwrap();
-    std::fs::write(FIXTURE, &snapshot).unwrap();
+    std::fs::write(FIXTURE, fixture_snapshot()).unwrap();
+}
+
+/// The committed fixture is a format-version-1 image; this build writes
+/// version 2, which is the version-1 body with the per-node profile
+/// section appended. Everything the fixture holds — watermark, cursor,
+/// accounting (the emulated-work sink included), every open pane's
+/// accumulators, the reorder buffer — must therefore be re-produced byte
+/// for byte, whichever pane layout runs the query.
+#[test]
+fn golden_fixture_body_is_what_this_build_writes() {
+    const HEADER: usize = 6; // magic, version, container kind
+    let golden = std::fs::read(FIXTURE).expect("golden fixture missing");
+    let fresh = fixture_snapshot();
+    assert_eq!(golden[..4], fresh[..4], "magic");
+    assert_eq!((golden[4], fresh[4]), (1, 2), "format versions");
+    assert_eq!(golden[5], fresh[5], "container kind");
+    assert!(fresh.len() > golden.len());
+    assert_eq!(
+        golden[HEADER..],
+        fresh[HEADER..golden.len()],
+        "the image body drifted from the committed fixture"
+    );
 }
 
 #[test]

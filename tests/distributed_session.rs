@@ -135,7 +135,6 @@ fn checkpoint_documents_move_between_backends() {
         Session::from_query(query())
             .plan_choice(PlanChoice::Factored)
             .parallelism(parallelism)
-            .durable(true)
             .element_work(0)
             .collect_results(true)
     };

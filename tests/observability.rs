@@ -138,8 +138,7 @@ fn node_counters_survive_checkpoint_restore_and_rescale() {
     let (first, second) = stream.split_at(2_400);
     let session = Session::from_sql(MATRIX_SQL)
         .unwrap()
-        .profiling(ProfileLevel::Counters)
-        .durable(true);
+        .profiling(ProfileLevel::Counters);
 
     let mut pipeline = session.build().unwrap();
     pipeline.push_batch(first).unwrap();
