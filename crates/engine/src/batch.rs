@@ -116,6 +116,13 @@ impl EventBatch {
         }
     }
 
+    /// Appends equally long column slices.
+    pub(crate) fn extend_from_columns(&mut self, times: &[u64], keys: &[u32], values: &[f64]) {
+        self.times.extend_from_slice(times);
+        self.keys.extend_from_slice(keys);
+        self.values.extend_from_slice(values);
+    }
+
     /// The timestamp column.
     #[must_use]
     pub fn times(&self) -> &[u64] {

@@ -10,8 +10,8 @@
 //!
 //! * [`crate::pane::Mono`] — one `Slab<A::Acc>` per pane, monomorphized
 //!   over the aggregate; serves every single-term plan.
-//! * [`crate::multi::MultiLayout`] — one struct-of-arrays column per
-//!   aggregate term sharing one occupancy stamp; serves multi-term plans.
+//! * [`crate::multi::MultiLayout`] — one row per key slot holding its
+//!   stamp and every aggregate term's accumulator; serves multi-term plans.
 //!
 //! [`compile_core`] picks the layout from the plan's term count alone (see
 //! DESIGN.md §3.3 for the measurements behind keeping both). State leaves
@@ -351,7 +351,7 @@ pub(crate) trait PipelineCore: Send {
 }
 
 /// Compiles `plan` onto the layout its term count selects: the
-/// monomorphized slab layout for one aggregate term, the SoA layout for
+/// monomorphized slab layout for one aggregate term, the row layout for
 /// several.
 pub(crate) fn compile_core(
     plan: &QueryPlan,

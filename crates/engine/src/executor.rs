@@ -229,9 +229,9 @@ impl PlanPipeline {
     ///
     /// The pane layout follows from the plan's term count alone:
     /// single-aggregate plans run the per-function monomorphized slab
-    /// layout ([`crate::pane`]), multi-aggregate plans the shared-pane SoA
-    /// layout ([`crate::multi`]), which maintains each pane once and fans
-    /// it out to one accumulator column per term. Either way the pipeline
+    /// layout ([`crate::pane`]), multi-aggregate plans the shared-pane row
+    /// layout ([`crate::multi`]), which maintains each pane once and keeps
+    /// every term's accumulator in one row per key. Either way the pipeline
     /// can [`Self::rebuild`] and [`Self::checkpoint`].
     pub fn compile(plan: &QueryPlan, opts: PipelineOptions) -> Result<Self> {
         let core = compile_core(plan, opts.element_work, opts.profile)?;
@@ -539,10 +539,8 @@ impl PlanPipeline {
                 result
             }
             Some(buffer) => {
-                for &event in events {
-                    buffer.push(event)?;
-                }
-                self.feed_staged()
+                let pushed = events.iter().try_for_each(|&event| buffer.push(event));
+                self.feed_staged().and(pushed)
             }
         }
     }
@@ -555,10 +553,9 @@ impl PlanPipeline {
                 result
             }
             Some(buffer) => {
-                for i in 0..times.len() {
-                    buffer.push(Event::new(times[i], keys[i], values[i]))?;
-                }
-                self.feed_staged()
+                let pushed = (0..times.len())
+                    .try_for_each(|i| buffer.push_parts(times[i], keys[i], values[i]));
+                self.feed_staged().and(pushed)
             }
         }
     }
@@ -568,6 +565,8 @@ impl PlanPipeline {
     /// staged columns are cleared afterwards whether or not the feed
     /// errored: the core consumed the prefix before the offending
     /// element, and the offender can never become feedable.
+    /// Pushes call this even after a too-late event stopped them, so what
+    /// the buffer released first reaches the core before the error does.
     fn feed_staged(&mut self) -> Result<()> {
         let Some(buffer) = &mut self.reorder else {
             return Ok(());
@@ -1249,6 +1248,50 @@ mod tests {
             sorted_results(reference.results)
         );
         assert_eq!(repaired.events_processed, 200);
+    }
+
+    #[test]
+    fn a_late_event_does_not_strand_what_the_buffer_released() {
+        // Slack 4: pushing 30 releases 1 and 2, then 3 is too late. The
+        // released prefix reaches the core before the error is reported,
+        // so the pipeline (and a checkpoint of it) accounts for every
+        // accepted event — on the columnar and the row-oriented path.
+        let q = query(&[w(10, 10)], AggregateFunction::Sum);
+        let plan = fw_core::rewrite::original_plan(&q);
+        let opts = PipelineOptions {
+            out_of_order: 4,
+            ..PipelineOptions::collecting()
+        };
+        let times = [1u64, 2, 30, 3];
+        let values = [1.0, 2.0, 4.0, 8.0];
+        for columnar in [true, false] {
+            let mut pipeline = PlanPipeline::compile(&plan, opts).unwrap();
+            let err = if columnar {
+                pipeline.push_columns(&times, &[0; 4], &values)
+            } else {
+                let rows: Vec<Event> = (0..4).map(|i| Event::new(times[i], 0, values[i])).collect();
+                pipeline.push_batch(&rows)
+            }
+            .unwrap_err();
+            assert!(matches!(err, EngineError::OutOfOrderEvent { at: 3, .. }));
+            assert_eq!(pipeline.events_processed(), 2);
+            assert_eq!(pipeline.buffered(), 1);
+
+            let mut snapshot = Vec::new();
+            pipeline.checkpoint(&plan, &mut snapshot).unwrap();
+            let restored = PlanPipeline::restore(&plan, opts, &mut snapshot.as_slice()).unwrap();
+            let (a, b) = (pipeline.finish().unwrap(), restored.finish().unwrap());
+            assert_eq!((a.events_processed, b.events_processed), (3, 3));
+            let values = |out: RunOutput| -> Vec<f64> {
+                sorted_results(out.results)
+                    .iter()
+                    .map(|r| r.value)
+                    .collect()
+            };
+            // [0, 10) holds 1 + 2; the stream ends inside [30, 40).
+            assert_eq!(values(a), vec![3.0]);
+            assert_eq!(values(b), vec![3.0]);
+        }
     }
 
     #[test]

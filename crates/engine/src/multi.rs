@@ -22,179 +22,111 @@
 //! single-aggregate pipeline would, and the per-slot fan-out is reported
 //! separately as `ExecStats::agg_ops`.
 //!
+//! Panes are row-major: one row per key slot holds the slot's epoch stamp
+//! and every fixed-width term's accumulator, so a key's fold, combine or
+//! emit touches one row (DESIGN.md §3.6); MEDIAN multisets sit in a side
+//! column.
+//!
 //! This module is the multi-term pane layout; the execution driver it
 //! plugs into is the crate-private `driver::Core`.
 
 use crate::agg::{Aggregate, AvgAgg, CountAgg, MaxAgg, MedianAgg, MinAgg, SumAgg, SumCount};
-use crate::driver::{init_slot, KeyedPane, PaneLayout, Slot, Store};
+use crate::driver::{KeyedPane, PaneLayout, Slot, Store};
 use crate::error::{EngineError, Result};
 use crate::event::{ResultSink, WindowResult};
-use crate::pane::element_work;
+use crate::pane::{element_work, SlotRepr};
+use crate::slab::walk_live;
 use fw_core::{AggregateClass, AggregateFunction, Interval, QueryPlan, Window};
 
-/// One aggregate term's accumulator column, slot-indexed (the SoA
-/// counterpart of one [`Slot`] position across every key).
-#[derive(Debug, Clone)]
-enum SlotCol {
-    /// MIN / MAX / SUM state.
-    F64(Vec<f64>),
-    /// COUNT state.
-    U64(Vec<u64>),
-    /// AVG state.
-    SumCount(Vec<SumCount>),
-    /// MEDIAN state (holistic: the full multiset per key).
-    Values(Vec<Vec<f64>>),
+/// A fixed-width accumulator as words of a pane row. Loading into the
+/// aggregate's own `Acc` and storing back keeps every kernel the
+/// unchanged [`Aggregate`] implementation.
+trait RowAcc: Sized {
+    const WORDS: usize;
+    fn load(words: &[u64]) -> Self;
+    fn store(&self, words: &mut [u64]);
 }
 
-impl SlotCol {
-    fn new(f: AggregateFunction) -> Self {
-        match f.class() {
-            AggregateClass::Holistic => SlotCol::Values(Vec::new()),
-            _ => match init_slot(f) {
-                Slot::F64(_) => SlotCol::F64(Vec::new()),
-                Slot::U64(_) => SlotCol::U64(Vec::new()),
-                Slot::SumCount(_) => SlotCol::SumCount(Vec::new()),
-                Slot::Values(_) => SlotCol::Values(Vec::new()),
-            },
-        }
+impl RowAcc for f64 {
+    const WORDS: usize = 1;
+    fn load(words: &[u64]) -> Self {
+        f64::from_bits(words[0])
     }
-
-    /// Grows the column to cover `n` slots (placeholders are gated by the
-    /// pane's occupancy stamp and re-initialized on touch).
-    fn grow(&mut self, n: usize) {
-        match self {
-            SlotCol::F64(v) => v.resize(n, 0.0),
-            SlotCol::U64(v) => v.resize(n, 0),
-            SlotCol::SumCount(v) => v.resize(n, SumCount::default()),
-            SlotCol::Values(v) => v.resize_with(n, Vec::new),
-        }
-    }
-
-    /// Re-initializes slot `i` for function `f` (first touch this epoch).
-    /// The holistic multiset clears in place so its capacity survives
-    /// pane recycling.
-    #[inline]
-    fn reinit(&mut self, f: AggregateFunction, i: usize) {
-        match self {
-            SlotCol::F64(v) => {
-                v[i] = match init_slot(f) {
-                    Slot::F64(x) => x,
-                    _ => unreachable!("column shape is fixed at construction"),
-                }
-            }
-            SlotCol::U64(v) => v[i] = 0,
-            SlotCol::SumCount(v) => v[i] = SumCount::default(),
-            SlotCol::Values(v) => v[i].clear(),
-        }
-    }
-
-    /// Reads slot `i` out as a row-format [`Slot`].
-    fn read(&self, i: usize) -> Slot {
-        match self {
-            SlotCol::F64(v) => Slot::F64(v[i]),
-            SlotCol::U64(v) => Slot::U64(v[i]),
-            SlotCol::SumCount(v) => Slot::SumCount(v[i]),
-            SlotCol::Values(v) => Slot::Values(v[i].clone()),
-        }
-    }
-
-    /// Writes a row-format [`Slot`] into slot `i`.
-    fn write(&mut self, i: usize, slot: &Slot) {
-        match (self, slot) {
-            (SlotCol::F64(v), Slot::F64(x)) => v[i] = *x,
-            (SlotCol::U64(v), Slot::U64(x)) => v[i] = *x,
-            (SlotCol::SumCount(v), Slot::SumCount(x)) => v[i] = *x,
-            (SlotCol::Values(v), Slot::Values(x)) => {
-                v[i].clear();
-                v[i].extend_from_slice(x);
-            }
-            _ => unreachable!("slot shape is fixed at init"),
-        }
-    }
-
-    /// Folds a contiguous value run into slot `i` through the aggregate's
-    /// columnar kernel — one function dispatch per key sub-run per term,
-    /// not one per element per term.
-    #[inline]
-    fn fold_run(&mut self, f: AggregateFunction, i: usize, values: &[f64]) {
-        match (f, self) {
-            (AggregateFunction::Min, SlotCol::F64(v)) => MinAgg::fold_run(&mut v[i], values),
-            (AggregateFunction::Max, SlotCol::F64(v)) => MaxAgg::fold_run(&mut v[i], values),
-            (AggregateFunction::Sum, SlotCol::F64(v)) => SumAgg::fold_run(&mut v[i], values),
-            (AggregateFunction::Count, SlotCol::U64(v)) => CountAgg::fold_run(&mut v[i], values),
-            (AggregateFunction::Avg, SlotCol::SumCount(v)) => AvgAgg::fold_run(&mut v[i], values),
-            (AggregateFunction::Median, SlotCol::Values(v)) => {
-                MedianAgg::fold_run(&mut v[i], values)
-            }
-            _ => unreachable!("column shape is fixed at construction"),
-        }
-    }
-
-    /// Combines slot `i` of `src` into slot `i` of `self` (combinable
-    /// functions only — the sub-aggregate cascade).
-    #[inline]
-    fn combine_at(&mut self, f: AggregateFunction, i: usize, src: &SlotCol) {
-        match (f, self, src) {
-            (AggregateFunction::Min, SlotCol::F64(a), SlotCol::F64(b)) => {
-                MinAgg::combine(&mut a[i], &b[i]);
-            }
-            (AggregateFunction::Max, SlotCol::F64(a), SlotCol::F64(b)) => {
-                MaxAgg::combine(&mut a[i], &b[i]);
-            }
-            (AggregateFunction::Sum, SlotCol::F64(a), SlotCol::F64(b)) => {
-                SumAgg::combine(&mut a[i], &b[i]);
-            }
-            (AggregateFunction::Count, SlotCol::U64(a), SlotCol::U64(b)) => {
-                CountAgg::combine(&mut a[i], &b[i]);
-            }
-            (AggregateFunction::Avg, SlotCol::SumCount(a), SlotCol::SumCount(b)) => {
-                AvgAgg::combine(&mut a[i], &b[i]);
-            }
-            (AggregateFunction::Median, ..) => {
-                unreachable!("holistic slots are raw-fed, never combined")
-            }
-            _ => unreachable!("column shape is fixed at construction"),
-        }
-    }
-
-    /// Emission-side merge of slot `i` of `src` — the carried half of the
-    /// same instance — into slot `i` of `self`: combine for combinable
-    /// functions, multiset concatenation for the holistic column.
-    #[inline]
-    fn merge_at(&mut self, f: AggregateFunction, i: usize, src: &SlotCol) {
-        match (self, src) {
-            (SlotCol::Values(a), SlotCol::Values(b)) => a[i].extend_from_slice(&b[i]),
-            (col, src) => col.combine_at(f, i, src),
-        }
-    }
-
-    /// Finalizes slot `i` into the result value.
-    #[inline]
-    fn finalize(&self, f: AggregateFunction, i: usize) -> f64 {
-        match (f, self) {
-            (AggregateFunction::Min, SlotCol::F64(v)) => MinAgg::finalize(&v[i]),
-            (AggregateFunction::Max, SlotCol::F64(v)) => MaxAgg::finalize(&v[i]),
-            (AggregateFunction::Sum, SlotCol::F64(v)) => SumAgg::finalize(&v[i]),
-            (AggregateFunction::Count, SlotCol::U64(v)) => CountAgg::finalize(&v[i]),
-            (AggregateFunction::Avg, SlotCol::SumCount(v)) => AvgAgg::finalize(&v[i]),
-            (AggregateFunction::Median, SlotCol::Values(v)) => MedianAgg::finalize(&v[i]),
-            _ => unreachable!("column shape is fixed at construction"),
-        }
+    fn store(&self, words: &mut [u64]) {
+        words[0] = self.to_bits();
     }
 }
 
-/// One window instance's multi-aggregate state as a struct of arrays:
-/// one [`SlotCol`] per aggregate term, sharing a single epoch-stamped
-/// occupancy (same sparse-set scheme as [`crate::slab::Slab`]). A
-/// multi-term fold over a key sub-run dispatches each term's column once
-/// and then runs a tight loop over contiguous memory.
+impl RowAcc for u64 {
+    const WORDS: usize = 1;
+    fn load(words: &[u64]) -> Self {
+        words[0]
+    }
+    fn store(&self, words: &mut [u64]) {
+        words[0] = *self;
+    }
+}
+
+impl RowAcc for SumCount {
+    const WORDS: usize = 2;
+    fn load(words: &[u64]) -> Self {
+        let sum = f64::from_bits(words[0]);
+        SumCount {
+            sum,
+            count: words[1],
+        }
+    }
+    fn store(&self, words: &mut [u64]) {
+        words[..2].copy_from_slice(&[self.sum.to_bits(), self.count]);
+    }
+}
+
+/// Evaluates `$body` with `$A` naming the fixed-width aggregate of `$f`.
+#[rustfmt::skip]
+macro_rules! fixed {
+    ($f:expr, |$A:ident| $body:expr) => {
+        match $f {
+            AggregateFunction::Min => { type $A = MinAgg; $body }
+            AggregateFunction::Max => { type $A = MaxAgg; $body }
+            AggregateFunction::Sum => { type $A = SumAgg; $body }
+            AggregateFunction::Count => { type $A = CountAgg; $body }
+            AggregateFunction::Avg => { type $A = AvgAgg; $body }
+            AggregateFunction::Median => unreachable!("holistic terms live in the side column"),
+        }
+    };
+}
+
+/// Loads `A`'s accumulator from a row's words, applies `f`, stores it back.
+#[inline]
+fn update<A: Aggregate>(words: &mut [u64], f: impl FnOnce(&mut A::Acc))
+where
+    A::Acc: RowAcc,
+{
+    let mut acc = A::Acc::load(words);
+    f(&mut acc);
+    acc.store(words);
+}
+
+/// Where one aggregate term's state lives.
+#[derive(Debug, Clone, Copy)]
+struct Term {
+    f: AggregateFunction,
+    holistic: bool,
+    /// Word offset of the accumulator within a row; for a holistic term,
+    /// its index among the slot's side-column multisets.
+    at: usize,
+}
+
+/// One window instance's multi-aggregate state, row-major: `rows` holds
+/// one row per slot (the layout's `width` words — word 0 the slot's epoch
+/// stamp, then each fixed-width term's accumulator), `multisets` the
+/// holistic terms' values, and `touched` the live slots in first-touch
+/// order (the same sparse-set occupancy as [`crate::slab::Slab`]).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MultiPane {
-    /// One column per aggregate term (SELECT-list order); empty until
-    /// the first touch (panes are created via `Default` by the deque).
-    cols: Box<[SlotCol]>,
-    /// `stamp[slot] == epoch` marks the slot live this epoch.
-    stamp: Vec<u32>,
+    rows: Vec<u64>,
+    /// The holistic terms' multisets, slot-major (empty without any).
+    multisets: Vec<Vec<f64>>,
     /// Current epoch; 0 only in the pristine `Default` state (bumped to 1
     /// on first touch so zeroed stamps read vacant).
     epoch: u32,
@@ -211,7 +143,9 @@ impl crate::pane::PaneState for MultiPane {
     fn clear(&mut self) {
         self.touched.clear();
         if self.epoch == u32::MAX {
-            self.stamp.fill(0);
+            // Zeroing the rows zeroes every stamp; accumulators reset on
+            // their next touch anyway.
+            self.rows.fill(0);
             self.epoch = 1;
         } else {
             self.epoch += 1;
@@ -220,41 +154,64 @@ impl crate::pane::PaneState for MultiPane {
 }
 
 impl MultiPane {
-    /// Marks `slot` live, lazily building the columns on a pane's first
-    /// ever use and re-initializing the slot's accumulators on first
-    /// touch this epoch.
+    /// Marks `slot` live and returns the index of its row's first word,
+    /// growing the rows on demand and resetting the row (and clearing its
+    /// multisets in place, keeping their capacity) on first touch this
+    /// epoch.
     #[inline]
-    fn touch(&mut self, slot: u32, funcs: &[AggregateFunction]) {
+    fn touch(&mut self, slot: u32, layout: &MultiLayout) -> usize {
         if self.epoch == 0 {
             self.epoch = 1;
         }
-        if self.cols.is_empty() && !funcs.is_empty() {
-            self.cols = funcs.iter().map(|&f| SlotCol::new(f)).collect();
+        let (w, h, s) = (layout.width, layout.holistic, slot as usize);
+        let base = s * w;
+        if base >= self.rows.len() {
+            self.rows.resize(base + w, 0);
+            self.multisets.resize_with((s + 1) * h, Vec::new);
         }
-        let i = slot as usize;
-        if i >= self.stamp.len() {
-            self.stamp.resize(i + 1, 0);
-            for col in self.cols.iter_mut() {
-                col.grow(i + 1);
-            }
-        }
-        if self.stamp[i] != self.epoch {
-            self.stamp[i] = self.epoch;
+        let epoch = u64::from(self.epoch);
+        if self.rows[base] != epoch {
+            let row = &mut self.rows[base..base + w];
+            row.copy_from_slice(&layout.fresh);
+            row[0] = epoch;
             self.touched.push(slot);
-            for (col, &f) in self.cols.iter_mut().zip(funcs) {
-                col.reinit(f, i);
-            }
+            self.multisets[s * h..(s + 1) * h]
+                .iter_mut()
+                .for_each(Vec::clear);
         }
+        base
+    }
+
+    /// Visits the live slots for a seal-side walk ([`walk_live`]).
+    #[inline]
+    fn for_each_live(&self, width: usize, visit: impl FnMut(u32)) {
+        let epoch = u64::from(self.epoch);
+        let live = |s: usize| self.rows[s * width] == epoch;
+        walk_live(&self.touched, self.rows.len() / width, live, visit);
     }
 }
 
 /// The multi-term pane layout: every pane is a [`MultiPane`], maintained
 /// once per element however many aggregate terms ride it.
 pub(crate) struct MultiLayout {
-    /// All aggregate terms' functions, term-indexed (SELECT-list order).
-    funcs: Box<[AggregateFunction]>,
+    /// Every aggregate term, term-indexed (SELECT-list order).
+    terms: Box<[Term]>,
     /// Term indices parent panes combine into (the combinable terms).
     combinable: Box<[usize]>,
+    /// Words per row: the stamp plus every fixed-width accumulator.
+    width: usize,
+    /// A freshly initialized row (stamp word 0).
+    fresh: Box<[u64]>,
+    /// Holistic terms per slot: the side column's stride.
+    holistic: usize,
+}
+
+impl MultiLayout {
+    /// The holistic multiset of term `t` at `slot`.
+    #[inline]
+    fn multiset(&self, slot: u32, t: &Term) -> usize {
+        slot as usize * self.holistic + t.at
+    }
 }
 
 /// Per-operator routing of the multi-term layout.
@@ -271,16 +228,36 @@ impl PaneLayout for MultiLayout {
     type Op = MultiOp;
 
     fn new(plan: &QueryPlan) -> Self {
-        let funcs: Box<[AggregateFunction]> =
-            plan.aggregates().iter().map(|s| s.function()).collect();
-        let combinable = (0..funcs.len())
-            .filter(|&j| funcs[j].class() != AggregateClass::Holistic)
-            .collect();
-        MultiLayout { funcs, combinable }
+        let (mut terms, mut width, mut multisets) = (Vec::new(), 1, 0);
+        for f in plan.aggregates().iter().map(|spec| spec.function()) {
+            let holistic = f.class() == AggregateClass::Holistic;
+            let next = if holistic { &mut multisets } else { &mut width };
+            terms.push(Term {
+                f,
+                holistic,
+                at: *next,
+            });
+            *next += match holistic {
+                true => 1,
+                false => fixed!(f, |A| <A as Aggregate>::Acc::WORDS),
+            };
+        }
+        let mut fresh = vec![0u64; width];
+        for t in terms.iter().filter(|t| !t.holistic) {
+            fixed!(t.f, |A| update::<A>(&mut fresh[t.at..], |acc| *acc =
+                A::init()));
+        }
+        MultiLayout {
+            combinable: (0..terms.len()).filter(|&j| !terms[j].holistic).collect(),
+            terms: terms.into(),
+            width,
+            fresh: fresh.into(),
+            holistic: multisets,
+        }
     }
 
     fn op(&self, exposed: bool, sub_fed: bool) -> Result<(MultiOp, bool)> {
-        let terms = 0..self.funcs.len();
+        let terms = 0..self.terms.len();
         let raw_mask: Box<[usize]> = match (sub_fed, exposed) {
             // Raw-fed: every term living at this operator shares the pane
             // feed. Factor operators carry combinable terms only.
@@ -288,7 +265,7 @@ impl PaneLayout for MultiLayout {
             (false, false) => self.combinable.clone(),
             (true, _) if self.combinable.is_empty() => {
                 return Err(EngineError::HolisticSubAggregate {
-                    function: self.funcs[0].name(),
+                    function: self.terms[0].f.name(),
                 });
             }
             // Sub-aggregate-fed: combinable terms arrive as parent panes;
@@ -301,13 +278,13 @@ impl PaneLayout for MultiLayout {
     }
 
     /// The instance arithmetic is paid once per run and each key sub-run
-    /// resolves its accumulator columns once, then folds through the
-    /// columnar kernels ([`SlotCol::fold_run`]) — zero hash probes. The
-    /// emulated element-work loop runs separately from the value folds;
-    /// its sink is combined by XOR, so the split is order-insensitive,
-    /// while the value folds keep strict per-element order for the
-    /// order-sensitive kernels (SUM/AVG). Pane work is counted once per
-    /// element, `agg_ops` once per term it fans out to.
+    /// resolves its row once, then folds every term through the
+    /// aggregate's columnar kernel — zero hash probes. The emulated
+    /// element-work loop runs separately from the value folds; its sink
+    /// is combined by XOR, so the split is order-insensitive, while the
+    /// value folds keep strict per-element order for the order-sensitive
+    /// kernels (SUM/AVG). Pane work is counted once per element, `agg_ops`
+    /// once per term it fans out to.
     fn update_run(&self, store: &mut Store<Self>, times: &[u64], slots: &[u32], values: &[f64]) {
         debug_assert!(!times.is_empty());
         debug_assert!(times.len() == slots.len() && times.len() == values.len());
@@ -325,7 +302,6 @@ impl PaneLayout for MultiLayout {
             for &t in times {
                 work_sink ^= element_work(t ^ m, work);
             }
-            let funcs = &self.funcs;
             let raw_mask = &store.op.raw_mask;
             let pane = store.deque.pane_mut(m);
             let mut k = 0;
@@ -335,10 +311,18 @@ impl PaneLayout for MultiLayout {
                 while end < slots.len() && slots[end] == slot {
                     end += 1;
                 }
-                pane.touch(slot, funcs);
+                let base = pane.touch(slot, self);
+                let row = &mut pane.rows[base..base + self.width];
                 let run = &values[k..end];
                 for &j in raw_mask.iter() {
-                    pane.cols[j].fold_run(funcs[j], slot as usize, run);
+                    let t = &self.terms[j];
+                    if t.holistic {
+                        MedianAgg::fold_run(&mut pane.multisets[self.multiset(slot, t)], run);
+                    } else {
+                        fixed!(t.f, |A| update::<A>(&mut row[t.at..], |acc| A::fold_run(
+                            acc, run
+                        )));
+                    }
                 }
                 k = end;
             }
@@ -350,10 +334,10 @@ impl PaneLayout for MultiLayout {
     }
 
     /// Combines the combinable terms only (holistic terms are raw-fed and
-    /// must never inherit parent state). The merge is a linear walk of
-    /// the source's live slots; `slot_keys` recovers raw keys for the
-    /// emulated element-work seed. The work parameters are resolved once
-    /// per call, outside the instance loop.
+    /// must never inherit parent state), row into row over the source's
+    /// live slots; `slot_keys` recovers raw keys for the emulated
+    /// element-work seed. The work parameters are resolved once per call,
+    /// outside the instance loop.
     #[inline]
     fn combine_pane(
         &self,
@@ -366,24 +350,30 @@ impl PaneLayout for MultiLayout {
         let work = store.work;
         let mut sink = store.work_sink;
         let live = source.touched.len() as u64;
+        let w = self.width;
         for m in window.instances_containing_interval(iv) {
             store.combines += live;
             store.agg_ops += live * self.combinable.len() as u64;
-            let funcs = &self.funcs;
             let pane = store.deque.pane_mut(m);
-            for &slot in &source.touched {
+            source.for_each_live(w, |slot| {
                 sink ^= element_work(m ^ u64::from(slot_keys[slot as usize]), work);
-                pane.touch(slot, funcs);
+                let base = pane.touch(slot, self);
+                let dst = &mut pane.rows[base..base + w];
+                let src = &source.rows[slot as usize * w..][..w];
                 for &j in self.combinable.iter() {
-                    pane.cols[j].combine_at(funcs[j], slot as usize, &source.cols[j]);
+                    let t = &self.terms[j];
+                    let src = &src[t.at..];
+                    fixed!(t.f, |A| update::<A>(&mut dst[t.at..], |acc| {
+                        A::combine(acc, &RowAcc::load(src));
+                    }));
                 }
-            }
+            });
         }
         store.work_sink = sink;
     }
 
     /// One result per (key, aggregate term), walking the pane's live
-    /// slots in first-touch order.
+    /// slots ([`walk_live`] order).
     #[inline]
     fn emit(
         &self,
@@ -394,50 +384,90 @@ impl PaneLayout for MultiLayout {
         sink: &mut ResultSink,
     ) -> u64 {
         let ResultSink::Collect(_) = sink else {
-            return (pane.touched.len() * self.funcs.len()) as u64;
+            return (pane.touched.len() * self.terms.len()) as u64;
         };
+        let w = self.width;
         let mut emitted = 0u64;
-        for &slot in &pane.touched {
+        pane.for_each_live(w, |slot| {
             let key = slot_keys[slot as usize];
-            for (j, &f) in self.funcs.iter().enumerate() {
+            let row = &pane.rows[slot as usize * w..][..w];
+            for (j, t) in self.terms.iter().enumerate() {
+                let value = if t.holistic {
+                    MedianAgg::finalize(&pane.multisets[self.multiset(slot, t)])
+                } else {
+                    fixed!(t.f, |A| A::finalize(&RowAcc::load(&row[t.at..])))
+                };
                 sink.push(
                     WindowResult {
                         window,
                         interval,
                         key,
                         agg: j as u32,
-                        value: pane.cols[j].finalize(f, slot as usize),
+                        value,
                     },
                     &mut emitted,
                 );
             }
-        }
+        });
         emitted
     }
 
     fn merge(&self, into: &mut MultiPane, carried: &MultiPane) {
+        let w = self.width;
         for &slot in &carried.touched {
-            into.touch(slot, &self.funcs);
-            for (j, col) in into.cols.iter_mut().enumerate() {
-                col.merge_at(self.funcs[j], slot as usize, &carried.cols[j]);
+            let base = into.touch(slot, self);
+            let src = &carried.rows[slot as usize * w..][..w];
+            for t in self.terms.iter() {
+                if t.holistic {
+                    let i = self.multiset(slot, t);
+                    MedianAgg::merge(&mut into.multisets[i], &carried.multisets[i]);
+                } else {
+                    let src = &src[t.at..];
+                    fixed!(t.f, |A| update::<A>(&mut into.rows[base + t.at..], |acc| {
+                        A::merge(acc, &RowAcc::load(src));
+                    }));
+                }
             }
         }
     }
 
     fn read_rows(&self, pane: &MultiPane, slot_keys: &[u32]) -> KeyedPane {
+        let w = self.width;
         pane.touched
             .iter()
-            .map(|&s| {
-                let row = pane.cols.iter().map(|c| c.read(s as usize)).collect();
-                (slot_keys[s as usize], row)
+            .map(|&slot| {
+                let row = &pane.rows[slot as usize * w..][..w];
+                let acc = self
+                    .terms
+                    .iter()
+                    .map(|t| {
+                        if t.holistic {
+                            Slot::Values(pane.multisets[self.multiset(slot, t)].clone())
+                        } else {
+                            fixed!(t.f, |A| <A as Aggregate>::Acc::load(&row[t.at..]).to_slot())
+                        }
+                    })
+                    .collect();
+                (slot_keys[slot as usize], acc)
             })
             .collect()
     }
 
     fn write_row(&self, pane: &mut MultiPane, slot: u32, row: &[Slot]) {
-        pane.touch(slot, &self.funcs);
-        for (col, value) in pane.cols.iter_mut().zip(row) {
-            col.write(slot as usize, value);
+        let base = pane.touch(slot, self);
+        for (t, value) in self.terms.iter().zip(row) {
+            if t.holistic {
+                let Slot::Values(values) = value else {
+                    unreachable!("slot shape is fixed by the aggregate function")
+                };
+                let multiset = &mut pane.multisets[self.multiset(slot, t)];
+                multiset.clear();
+                multiset.extend_from_slice(values);
+            } else {
+                fixed!(t.f, |A| update::<A>(&mut pane.rows[base + t.at..], |acc| {
+                    *acc = SlotRepr::from_slot(value);
+                }));
+            }
         }
     }
 }

@@ -32,7 +32,7 @@ use std::marker::PhantomData;
 pub type Pane<Acc> = Slab<Acc>;
 
 /// The behavior [`PaneDeque`] needs from a pane representation, so the
-/// single-aggregate slab panes ([`Pane`]) and the multi-aggregate SoA
+/// single-aggregate slab panes ([`Pane`]) and the multi-aggregate row
 /// panes (`MultiPane`, crate-private) share one sealing/recycling
 /// implementation.
 pub trait PaneState: Default {
@@ -457,14 +457,14 @@ where
             store.combines += source.len() as u64;
             store.agg_ops += source.len() as u64;
             let pane = store.deque.pane_mut(m);
-            for (slot, sub) in source.iter() {
+            source.for_each_live(|slot, sub| {
                 sink ^= element_work(m ^ u64::from(slot_keys[slot as usize]), work);
                 if let Some(acc) = pane.get_mut(slot) {
                     A::combine(acc, sub);
                 } else {
                     pane.insert(slot, sub.clone());
                 }
-            }
+            });
         }
         store.work_sink = sink;
     }
@@ -482,7 +482,7 @@ where
             return pane.len() as u64;
         };
         let mut emitted = 0u64;
-        for (slot, acc) in pane.iter() {
+        pane.for_each_live(|slot, acc| {
             sink.push(
                 WindowResult {
                     window,
@@ -493,7 +493,7 @@ where
                 },
                 &mut emitted,
             );
-        }
+        });
         emitted
     }
 

@@ -1099,6 +1099,29 @@ mod tests {
     }
 
     #[test]
+    fn a_late_event_does_not_strand_a_shards_released_events() {
+        // One key, so one shard sees the whole batch: 30 releases 1 and 2
+        // from its reorder buffer, then 3 is too late. The shard feeds the
+        // released prefix before failing, like the sequential pipeline.
+        let plan = demo_plan(AggregateFunction::Sum);
+        let opts = PipelineOptions {
+            out_of_order: 4,
+            ..fast_opts()
+        };
+        let mut pipeline = ShardedPipeline::compile(&plan, opts, 2).unwrap();
+        pipeline
+            .push_columns(&[1, 2, 30, 3], &[0; 4], &[1.0, 2.0, 4.0, 8.0])
+            .unwrap();
+        let (fed, _, _) = pipeline.snapshot();
+        assert_eq!(fed, 2);
+        let err = pipeline.finish().unwrap_err();
+        assert!(
+            matches!(err, EngineError::OutOfOrderEvent { at: 3, .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn snapshot_sums_fed_events_and_drop_is_clean() {
         let plan = demo_plan(AggregateFunction::Sum);
         let mut a = ShardedPipeline::compile(&plan, fast_opts(), 2).unwrap();

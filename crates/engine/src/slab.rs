@@ -12,11 +12,32 @@
 //!
 //! [`Slab`] is the per-instance store: a `Vec` indexed by slot with an
 //! epoch-stamp occupancy scheme (a sparse set). Clearing a pane is O(1)
-//! (bump the epoch), and iteration walks only the slots touched this
-//! epoch in first-touch order — a pane with 20 live keys costs 20 slots
-//! of work even when the interner has seen 256k keys. An occupancy
-//! *bitmap* would tie both costs to interner capacity instead; the
-//! epoch stamp is what keeps sparse instances cheap.
+//! (bump the epoch), and a sparse pane is walked only over the slots
+//! touched this epoch — 20 live keys cost 20 slots of work even when the
+//! interner has seen 256k keys; a dense one is walked in slot order
+//! (`walk_live`). An occupancy *bitmap* would tie both costs to interner
+//! capacity instead; the epoch stamp keeps sparse instances cheap.
+
+/// Visits the live slots of an epoch-stamped pane for both layouts'
+/// seal-side walks (combine, emit): in slot order when at least half of
+/// `capacity` is live, streaming through memory, else in first-touch order
+/// (`touched`), costing only the live slots. Either way each live slot is
+/// visited once, so only the order of a sealed instance's rows changes.
+#[inline]
+pub(crate) fn walk_live(
+    touched: &[u32],
+    capacity: usize,
+    live: impl Fn(usize) -> bool,
+    mut visit: impl FnMut(u32),
+) {
+    if 2 * touched.len() >= capacity {
+        (0..capacity)
+            .filter(|&s| live(s))
+            .for_each(|s| visit(s as u32));
+    } else {
+        touched.iter().for_each(|&s| visit(s));
+    }
+}
 
 /// Sentinel for an empty interner table bucket. Safe because a packed
 /// entry is `key << 32 | slot` and slot counts stay below `u32::MAX`.
@@ -160,9 +181,10 @@ impl KeyInterner {
 /// Occupancy is an epoch stamp per slot plus a `touched` list of the
 /// slots occupied this epoch (a sparse set). [`Slab::clear`] bumps the
 /// epoch and truncates `touched`; values are lazily re-initialized the
-/// next time their slot is touched. Iteration yields live slots in
-/// first-touch order — callers that need canonical order sort by the
-/// raw key recovered through the interner's slot→key table.
+/// next time their slot is touched. [`Slab::iter`] yields live slots in
+/// first-touch order, `for_each_live` in the seal-side walk order
+/// — callers that need canonical order sort by the raw key recovered
+/// through the interner's slot→key table.
 #[derive(Debug, Clone)]
 pub struct Slab<V> {
     vals: Vec<V>,
@@ -274,6 +296,16 @@ impl<V> Slab<V> {
         self.touched
             .iter()
             .map(move |&s| (s, &self.vals[s as usize]))
+    }
+
+    /// Visits the occupied slots for a seal-side walk: in slot order when
+    /// the slab is dense, in first-touch order when sparse ([`walk_live`]).
+    #[inline]
+    pub(crate) fn for_each_live(&self, mut visit: impl FnMut(u32, &V)) {
+        let live = |s: usize| self.stamp[s] == self.epoch;
+        walk_live(&self.touched, self.stamp.len(), live, |s| {
+            visit(s, &self.vals[s as usize]);
+        });
     }
 
     /// Clears the slab in O(1) by bumping the epoch. Values stay in

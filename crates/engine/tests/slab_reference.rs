@@ -14,10 +14,17 @@
 //!   recycles the interner (observable as a slot high-water far below the
 //!   total distinct-key count) without perturbing a single result bit —
 //!   including across a mid-stream checkpoint and restore.
+//! - **Walk-order neutrality**: the multi-term row layout over panes that
+//!   turn sparse and dense again mid-stream — so the seal-side walks
+//!   switch between slot order and first-touch order — matches the
+//!   reference term by term, across a checkpoint at each crossing.
 
-use fw_core::{AggregateFunction, Optimizer, PlanChoice, Window, WindowQuery, WindowSet};
+use fw_core::{
+    AggregateFunction, AggregateSpec, Optimizer, PlanChoice, Window, WindowQuery, WindowSet,
+};
 use fw_engine::{
-    reference_results, sorted_results, Event, PipelineOptions, PlanPipeline, WindowResult,
+    reference_results, sorted_results, Event, EventBatch, PipelineOptions, PlanPipeline,
+    WindowResult,
 };
 
 /// Deterministic xorshift64 — the tests are property-style but must stay
@@ -202,4 +209,75 @@ fn compaction_under_phase_churn_keeps_results_bit_identical() {
         oracle,
         "results diverged across interner compactions"
     );
+}
+
+#[test]
+fn row_layout_matches_reference_as_panes_cross_the_density_threshold() {
+    // Three phases of 8 events per time unit: 64 keys (every pane dense —
+    // even the 10-unit factor instance holds ~46 of the 64 slots), then 4 fresh keys
+    // (the same recycled panes now hold 4 of 68 slots: sparse), then the
+    // 64 keys again (dense). A pane is walked in slot order at ≥ half its
+    // slot capacity live and in first-touch order below, so combine and
+    // emit switch walks in both directions. Each crossing falls inside an
+    // open instance, and a checkpoint/restore lands exactly there.
+    const PHASE: u64 = 640;
+    const RATE: u64 = 8;
+    let windows = vec![w(20, 20), w(30, 30), w(40, 40)];
+    let funcs = [
+        AggregateFunction::Min,
+        AggregateFunction::Max,
+        AggregateFunction::Sum,
+        AggregateFunction::Count,
+        AggregateFunction::Avg,
+        AggregateFunction::Median,
+    ];
+    let mut rng = XorShift(0xDE45_17E5);
+    let mut events = Vec::new();
+    for (phase, (population, first)) in [(64u64, 0u64), (4, 64), (64, 0)].into_iter().enumerate() {
+        let t0 = phase as u64 * PHASE;
+        for t in t0..t0 + PHASE {
+            for _ in 0..RATE {
+                let ordinal = (first + rng.next() % population) as u32;
+                let value = ((rng.next() % 4_096) as f64 - 2_048.0) * 0.125 + 0.0625;
+                events.push(Event::new(t, sparse_key(ordinal), value));
+            }
+        }
+    }
+    let cuts = [PHASE + 5, 2 * PHASE + 5].map(|t| events.partition_point(|e| e.time < t));
+
+    let specs = funcs.iter().map(|&f| AggregateSpec::new(f)).collect();
+    let q = WindowQuery::with_aggregates(WindowSet::new(windows.clone()).unwrap(), specs).unwrap();
+    let out = Optimizer::default().optimize(&q).unwrap();
+    assert!(out.factored.plan.factor_window_count() > 0);
+    for plan in [&out.factored.plan, &out.original.plan] {
+        let opts = PipelineOptions::collecting();
+        let mut pipeline = PlanPipeline::compile(plan, opts).unwrap();
+        let mut collected = Vec::new();
+        let mut start = 0;
+        for cut in cuts.into_iter().chain([events.len()]) {
+            let batch = EventBatch::from_events(&events[start..cut]);
+            let (times, keys, values) = batch.columns();
+            pipeline.push_columns(times, keys, values).unwrap();
+            collected.extend(pipeline.poll_results());
+            if cut < events.len() {
+                let mut snapshot = Vec::new();
+                pipeline.checkpoint(plan, &mut snapshot).unwrap();
+                pipeline = PlanPipeline::restore(plan, opts, &mut snapshot.as_slice()).unwrap();
+            }
+            start = cut;
+        }
+        collected.extend(pipeline.finish().unwrap().results);
+        for (j, &f) in funcs.iter().enumerate() {
+            let term: Vec<WindowResult> = collected
+                .iter()
+                .filter(|r| r.agg == j as u32)
+                .map(|r| WindowResult { agg: 0, ..*r })
+                .collect();
+            assert_eq!(
+                result_bits(term),
+                result_bits(reference_results(&windows, f, &events)),
+                "{f} diverges from the reference across the density crossings"
+            );
+        }
+    }
 }

@@ -296,6 +296,7 @@ impl Server {
                     std::thread::sleep(std::time::Duration::from_millis(50));
                     continue;
                 };
+                let stream = accepted(stream);
                 let conn = next_conn;
                 next_conn += 1;
                 if let Ok(clone) = stream.try_clone() {
@@ -392,6 +393,16 @@ impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.stop();
     }
+}
+
+/// Sets up an accepted connection's socket: `TCP_NODELAY`, as the client,
+/// the coordinator and the worker already set on theirs. Without it a
+/// small reply frame can sit behind Nagle's algorithm until the peer's
+/// delayed ACK, which is what put a flat ~9 ms tail under delivered
+/// results on loopback.
+fn accepted(stream: TcpStream) -> TcpStream {
+    let _ = stream.set_nodelay(true);
+    stream
 }
 
 /// One connection's reader: handshake, then frame→command translation
@@ -1107,5 +1118,18 @@ fn error_frame(e: &ServeError) -> Frame {
     Frame::Error {
         code,
         message: e.to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_sockets_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        assert!(matches!(accepted(stream).nodelay(), Ok(true)));
     }
 }
