@@ -16,10 +16,17 @@
 //! ## Gather and merge
 //!
 //! Each key lives on exactly one worker, so every (window, instance,
-//! key) result row is produced exactly once; gathering is concatenation
-//! plus the engine's canonical sort ([`fw_engine::sorted_results`]) —
-//! bit-identical (`f64::to_bits`) to the sequential engine, the same
-//! contract the in-process shards pin.
+//! key) result row is produced exactly once. A worker answers a poll (or
+//! `FINISH`) with its rows already in canonical order, as a run of
+//! `ROWS` frames of at most [`ROWS_CHUNK_BYTES`](fw_serve::wire::ROWS_CHUNK_BYTES)
+//! each. Gathering is a k-way merge over the runs
+//! ([`fw_engine::merge_ordered`]) that decodes rows straight out of each
+//! connection's frame buffer and reads a worker's next chunk only when
+//! its current one runs out: no per-worker row vector, no sort, and at
+//! most one chunk per worker in memory. The result is bit-identical
+//! (`f64::to_bits`) to the sequential engine after its canonical sort,
+//! the same contract the in-process shards pin. A run that goes
+//! backwards in canonical order fails the gather loudly.
 //!
 //! ## Failure semantics
 //!
@@ -39,12 +46,14 @@ use fw_core::{QueryPlan, ToJson};
 use fw_engine::checkpoint::{CheckpointError, CheckpointResult};
 use fw_engine::profile::add_shard_profiles;
 use fw_engine::{
-    merge_pipeline_snapshots, partition_pipeline_snapshot, route_of, sorted_results,
-    BackendFactory, EngineError, EventBatch, ExecBackend, ExecStats, NodeProfile, PipelineOptions,
+    merge_ordered, merge_pipeline_snapshots, partition_pipeline_snapshot, route_of, BackendFactory,
+    EngineError, EventBatch, ExecBackend, ExecStats, NodeProfile, OrderedRun, PipelineOptions,
     Result, RunOutput, WindowResult,
 };
-use fw_serve::wire::{FrameReader, FrameWriter, WireError};
-use std::io::BufReader;
+use fw_serve::wire::{
+    decode_result_row, Cursor, FrameReader, FrameWriter, WireError, RESULT_ROW_LEN,
+};
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -119,20 +128,79 @@ impl Conn {
         Ok(())
     }
 
-    /// Reads one reply frame, expecting `expected`; a [`proto::KIND_ERR`]
-    /// frame becomes the worker's reconstructed engine error, anything
-    /// else a protocol failure.
+    /// Reads one reply frame, expecting `expected` (see [`expect_frame`]).
     fn expect(&mut self, expected: u8) -> Result<&[u8]> {
-        let (kind, payload) = self.frames.read_raw(&mut self.reader).map_err(wire_err)?;
-        if kind == proto::KIND_ERR {
-            return Err(proto::decode_err(payload).unwrap_or_else(wire_err));
+        expect_frame(&mut self.frames, &mut self.reader, expected)
+    }
+
+    /// The worker's next reply as a [`RowsRun`] for the merge.
+    fn rows(&mut self) -> RowsRun<'_, BufReader<TcpStream>> {
+        RowsRun::new(&mut self.frames, &mut self.reader)
+    }
+}
+
+/// Reads one reply frame, expecting `expected`; a [`proto::KIND_ERR`]
+/// frame becomes the worker's reconstructed engine error, anything else a
+/// protocol failure.
+fn expect_frame<'f, R: Read>(
+    frames: &'f mut FrameReader,
+    reader: &mut R,
+    expected: u8,
+) -> Result<&'f [u8]> {
+    let (kind, payload) = frames.read_raw(reader).map_err(wire_err)?;
+    if kind == proto::KIND_ERR {
+        return Err(proto::decode_err(payload).unwrap_or_else(wire_err));
+    }
+    if kind != expected {
+        return Err(EngineError::Distributed(format!(
+            "expected reply kind {expected:#04x}, worker sent {kind:#04x}"
+        )));
+    }
+    Ok(payload)
+}
+
+/// One worker's reply run of [`proto::KIND_ROWS`] chunks, decoded row by
+/// row straight out of the connection's frame buffer as the merge pulls
+/// them. The next chunk is read only when the current one runs out, so
+/// the coordinator holds at most one chunk per worker.
+struct RowsRun<'a, R> {
+    frames: &'a mut FrameReader,
+    reader: &'a mut R,
+    /// Byte offset of the next row in the current chunk's payload.
+    at: usize,
+    /// Rows left in the current chunk.
+    left: usize,
+    /// Another chunk follows the current one (true before the first).
+    more: bool,
+}
+
+impl<'a, R: Read> RowsRun<'a, R> {
+    fn new(frames: &'a mut FrameReader, reader: &'a mut R) -> Self {
+        RowsRun {
+            frames,
+            reader,
+            at: 0,
+            left: 0,
+            more: true,
         }
-        if kind != expected {
-            return Err(EngineError::Distributed(format!(
-                "expected reply kind {expected:#04x}, worker sent {kind:#04x}"
-            )));
+    }
+}
+
+impl<R: Read> OrderedRun for RowsRun<'_, R> {
+    fn next_row(&mut self) -> Result<Option<WindowResult>> {
+        while self.left == 0 {
+            if !self.more {
+                return Ok(None);
+            }
+            let payload = expect_frame(self.frames, self.reader, proto::KIND_ROWS)?;
+            (self.more, self.left) = proto::decode_rows_header(payload).map_err(wire_err)?;
+            self.at = proto::ROWS_HEADER_LEN;
         }
-        Ok(payload)
+        let mut row = Cursor::new(&self.frames.payload()[self.at..]);
+        let row = decode_result_row(&mut row).map_err(wire_err)?;
+        self.at += RESULT_ROW_LEN;
+        self.left -= 1;
+        Ok(Some(row))
     }
 }
 
@@ -233,8 +301,8 @@ impl Inner {
     fn poll_results(&mut self) -> Result<Vec<WindowResult>> {
         self.check()?;
         self.flush_all()?;
-        // Fan the request out before reading any reply: workers drain
-        // concurrently, the coordinator gathers in worker order.
+        // Fan the request out before reading any reply: workers order and
+        // encode concurrently while the coordinator merges.
         for i in 0..self.conns.len() {
             let conn = &mut self.conns[i];
             conn.out.stage_with(proto::KIND_POLL, |_| {});
@@ -243,16 +311,18 @@ impl Inner {
             }
         }
         let mut rows = Vec::new();
-        for i in 0..self.conns.len() {
-            match self.conns[i]
-                .expect(proto::KIND_ROWS)
-                .and_then(|payload| proto::decode_rows(payload).map_err(wire_err))
-            {
-                Ok(part) => rows.extend(part),
-                Err(e) => return self.fail(e),
-            }
+        match self.gather(&mut rows) {
+            Ok(()) => Ok(rows),
+            Err(e) => self.fail(e),
         }
-        Ok(sorted_results(rows))
+    }
+
+    /// Merges one [`proto::KIND_ROWS`] run from every worker into `out`.
+    /// Workers write their runs without waiting on the coordinator, so
+    /// reading whichever run the merge needs next cannot deadlock.
+    fn gather(&mut self, out: &mut Vec<WindowResult>) -> Result<()> {
+        let mut runs: Vec<_> = self.conns.iter_mut().map(Conn::rows).collect();
+        merge_ordered(&mut runs, out)
     }
 
     fn rebuild(&mut self, plan: &QueryPlan, watermark: u64) -> Result<()> {
@@ -357,10 +427,15 @@ impl Inner {
                 return self.fail(e);
             }
         }
+        // Each worker answers with its residual rows' run, then its
+        // accounting.
+        let mut rows = Vec::new();
+        if let Err(e) = self.gather(&mut rows) {
+            return self.fail(e);
+        }
         let mut events = 0u64;
         let mut emitted = 0u64;
         let mut stats = ExecStats::default();
-        let mut rows = Vec::new();
         for i in 0..self.conns.len() {
             match self.conns[i]
                 .expect(proto::KIND_FINISH_REPLY)
@@ -370,7 +445,6 @@ impl Inner {
                     events += reply.events_processed;
                     emitted += reply.results_emitted;
                     stats = stats + reply.stats;
-                    rows.extend(reply.rows);
                 }
                 Err(e) => return self.fail(e),
             }
@@ -382,7 +456,7 @@ impl Inner {
             events_processed: events,
             results_emitted: emitted,
             elapsed: self.start.elapsed(),
-            results: sorted_results(rows),
+            results: rows,
             stats,
         })
     }
@@ -762,5 +836,152 @@ impl BackendFactory for DistFactory {
             self.workers,
             snapshot,
         )?))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fw_core::{Interval, Window};
+    use fw_engine::sorted_results;
+
+    fn row(start: u64, key: u32, agg: u32) -> WindowResult {
+        WindowResult {
+            window: Window::tumbling(10).unwrap(),
+            interval: Interval::new(start, start + 10),
+            key,
+            agg,
+            value: f64::from(key) * 0.5 - f64::from(agg),
+        }
+    }
+
+    /// One worker's reply bytes: `rows` as a run of chunks of `per`
+    /// rows (the real encoder, a smaller chunk).
+    fn run_bytes(rows: &[WindowResult], per: usize) -> Vec<u8> {
+        let order: Vec<u32> = (0..rows.len() as u32).collect();
+        let mut out = FrameWriter::new();
+        let mut chunks = order.chunks(per.max(1)).peekable();
+        loop {
+            let chunk = chunks.next().unwrap_or(&[]);
+            let more = chunks.peek().is_some();
+            out.stage_with(proto::KIND_ROWS, |buf| {
+                proto::encode_rows_chunk(rows, chunk, more, buf);
+            });
+            if !more {
+                break;
+            }
+        }
+        let mut wire = Vec::new();
+        out.flush_to(&mut wire).unwrap();
+        wire
+    }
+
+    /// The coordinator's gather over in-memory worker replies.
+    fn gather(replies: &[Vec<u8>]) -> Result<Vec<WindowResult>> {
+        let mut frames: Vec<FrameReader> = replies.iter().map(|_| FrameReader::new()).collect();
+        let mut readers: Vec<&[u8]> = replies.iter().map(Vec::as_slice).collect();
+        let mut runs: Vec<_> = frames
+            .iter_mut()
+            .zip(readers.iter_mut())
+            .map(|(f, r)| RowsRun::new(f, r))
+            .collect();
+        let mut out = Vec::new();
+        merge_ordered(&mut runs, &mut out).map(|()| out)
+    }
+
+    fn distributed(result: Result<Vec<WindowResult>>) -> String {
+        match result {
+            Err(EngineError::Distributed(message)) => message,
+            other => panic!("expected a distributed error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn chunked_runs_merge_into_canonical_order() {
+        let a: Vec<_> = (0..50).map(|k| row(k / 10 * 10, 2 * k as u32, 0)).collect();
+        let b: Vec<_> = (0..37)
+            .map(|k| row(k / 10 * 10, 2 * k as u32 + 1, 0))
+            .collect();
+        let want = sorted_results([a.clone(), b.clone()].concat());
+        for per in [1, 3, 64] {
+            let got = gather(&[run_bytes(&a, per), run_bytes(&b, per)]).unwrap();
+            assert_eq!(got, want, "{per} rows per chunk");
+        }
+        assert_eq!(gather(&[run_bytes(&[], 4)]).unwrap(), vec![]);
+    }
+
+    #[test]
+    fn a_chunk_whose_count_disagrees_with_its_length_is_an_error() {
+        let rows = [row(0, 1, 0), row(0, 2, 0)];
+        let mut out = FrameWriter::new();
+        out.stage_with(proto::KIND_ROWS, |buf| {
+            proto::encode_rows_chunk(&rows, &[0, 1], false, buf);
+            buf.pop();
+        });
+        let mut wire = Vec::new();
+        out.flush_to(&mut wire).unwrap();
+        assert!(distributed(gather(&[wire])).contains("dist rows"));
+    }
+
+    #[test]
+    fn more_follows_then_eof_is_an_error() {
+        let mut wire = run_bytes(&[row(0, 1, 0), row(0, 2, 0)], 1);
+        let first = 4 + 1 + proto::ROWS_HEADER_LEN + RESULT_ROW_LEN;
+        wire.truncate(first);
+        assert!(distributed(gather(&[wire])).contains("closed"));
+    }
+
+    #[test]
+    fn more_follows_then_another_kind_is_an_error() {
+        let mut wire = run_bytes(&[row(0, 1, 0), row(0, 2, 0)], 1);
+        let first = 4 + 1 + proto::ROWS_HEADER_LEN + RESULT_ROW_LEN;
+        wire.truncate(first);
+        let mut out = FrameWriter::new();
+        out.stage_with(proto::KIND_STATS_REPLY, |_| {});
+        out.flush_to(&mut wire).unwrap();
+        assert!(distributed(gather(&[wire])).contains("expected reply kind"));
+    }
+
+    #[test]
+    fn a_run_out_of_canonical_order_is_an_error() {
+        // Backwards inside one chunk, and across a chunk boundary.
+        for per in [4, 1] {
+            let rows = [row(0, 1, 0), row(0, 3, 0), row(0, 2, 0)];
+            let ordered = run_bytes(&[row(0, 0, 0)], 4);
+            let message = distributed(gather(&[ordered, run_bytes(&rows, per)]));
+            assert!(message.contains("out of canonical order"), "{message}");
+        }
+    }
+
+    #[test]
+    fn a_worker_error_in_place_of_rows_surfaces_as_itself() {
+        let mut out = FrameWriter::new();
+        out.stage_with(proto::KIND_ERR, |buf| {
+            proto::encode_err(
+                &EngineError::OutOfOrderEvent {
+                    at: 5,
+                    watermark: 9,
+                },
+                buf,
+            );
+        });
+        let mut wire = Vec::new();
+        out.flush_to(&mut wire).unwrap();
+        assert_eq!(
+            gather(&[run_bytes(&[row(0, 1, 0)], 4), wire]),
+            Err(EngineError::OutOfOrderEvent {
+                at: 5,
+                watermark: 9
+            })
+        );
+    }
+
+    #[test]
+    fn a_row_with_an_empty_instance_is_an_error_not_a_panic() {
+        let mut wire = run_bytes(&[row(0, 1, 0)], 4);
+        // The row's interval end (bytes 24..32 of the row) set to its start.
+        let end_at = 4 + 1 + proto::ROWS_HEADER_LEN + 24;
+        wire[end_at..end_at + 8].copy_from_slice(&0u64.to_le_bytes());
+        assert!(distributed(gather(&[wire])).contains("invalid window instance"));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Frames ride the same `[len: u32 LE][kind: u8][payload]` substrate as
 //! the serve protocol (`fw_serve::wire`), reusing its
-//! [`FrameWriter`](fw_serve::wire::FrameWriter) /
+//! [`FrameWriter`] /
 //! [`FrameReader`](fw_serve::wire::FrameReader) scratch buffers, its
 //! FWB1 columnar batch codec, and
 //! its 48-byte result-row codec — so the zero-allocation hot path is
@@ -13,17 +13,24 @@
 //! everything else is strict request/reply. A worker that hits an engine
 //! error replies (or interjects, for data frames) one [`KIND_ERR`] frame
 //! carrying enough structure to reconstruct the original
-//! [`EngineError`] on the coordinator.
+//! [`EngineError`] on the coordinator. Sealed rows answer [`KIND_POLL`]
+//! and [`KIND_FINISH`] as one run of [`KIND_ROWS`] chunks in canonical
+//! order ([`write_rows`]), each frame at most [`ROWS_CHUNK_BYTES`].
 
 use fw_engine::{EngineError, ExecStats, NodeProfile, PipelineOptions, ProfileLevel, WindowResult};
-use fw_serve::wire::{decode_result_row, encode_result_row, Cursor, WireError};
+use fw_serve::wire::{
+    encode_result_row, Cursor, FrameWriter, WireError, RESULT_ROW_LEN, ROWS_CHUNK_BYTES,
+};
+use std::io::Write;
 
 /// Protocol magic carried by `Hello` / `HelloAck` (`"FWD1"`).
 pub const DIST_MAGIC: u32 = u32::from_le_bytes(*b"FWD1");
 
 /// Protocol version negotiated by `Hello` / `HelloAck`. Version 2 dropped
-/// the compile-path byte from [`Setup`].
-pub const DIST_VERSION: u16 = 2;
+/// the compile-path byte from [`Setup`]; version 3 ships result rows as
+/// canonically ordered runs of chunked [`KIND_ROWS`] frames, for polls and
+/// for [`KIND_FINISH`] alike, and took them out of [`KIND_FINISH_REPLY`].
+pub const DIST_VERSION: u16 = 3;
 
 /// Coordinator hello: magic + version; must be the first frame.
 pub const KIND_HELLO: u8 = 0x31;
@@ -33,7 +40,7 @@ pub const KIND_SETUP: u8 = 0x32;
 pub const KIND_BATCH: u8 = 0x33;
 /// Watermark broadcast (fire-and-forget).
 pub const KIND_WATERMARK: u8 = 0x34;
-/// Drain sealed results ([`KIND_ROWS`] reply).
+/// Drain sealed results (a [`KIND_ROWS`] run in reply).
 pub const KIND_POLL: u8 = 0x35;
 /// Request counters ([`KIND_STATS_REPLY`] reply).
 pub const KIND_STATS: u8 = 0x36;
@@ -43,14 +50,15 @@ pub const KIND_PROFILES: u8 = 0x37;
 pub const KIND_REBUILD: u8 = 0x38;
 /// Export a checkpoint document ([`KIND_IMAGE`] reply).
 pub const KIND_EXPORT: u8 = 0x39;
-/// Seal and finish: optional seal watermark ([`KIND_FINISH_REPLY`]).
+/// Seal and finish: optional seal watermark (a [`KIND_ROWS`] run of the
+/// residual rows, then [`KIND_FINISH_REPLY`]).
 pub const KIND_FINISH: u8 = 0x3A;
 
 /// Worker hello ack: magic + version.
 pub const KIND_HELLO_ACK: u8 = 0xB1;
 /// Setup succeeded.
 pub const KIND_SETUP_ACK: u8 = 0xB2;
-/// Sealed result rows (48-byte row codec).
+/// One chunk of a run of sealed result rows (see [`encode_rows_chunk`]).
 pub const KIND_ROWS: u8 = 0xB5;
 /// Counter snapshot.
 pub const KIND_STATS_REPLY: u8 = 0xB6;
@@ -60,7 +68,7 @@ pub const KIND_PROFILES_REPLY: u8 = 0xB7;
 pub const KIND_REBUILD_ACK: u8 = 0xB8;
 /// A checkpoint document.
 pub const KIND_IMAGE: u8 = 0xB9;
-/// Finish accounting + residual rows.
+/// Finish accounting (after the residual rows' [`KIND_ROWS`] run).
 pub const KIND_FINISH_REPLY: u8 = 0xBA;
 /// An engine error (see [`encode_err`] / [`decode_err`]).
 pub const KIND_ERR: u8 = 0xBF;
@@ -169,26 +177,72 @@ pub fn decode_setup(payload: &[u8]) -> Result<Setup, WireError> {
     })
 }
 
-/// Appends a result-rows payload (count + 48-byte rows).
-pub fn encode_rows(rows: &[WindowResult], buf: &mut Vec<u8>) {
-    buf.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    for row in rows {
-        encode_result_row(row, buf);
+/// [`KIND_ROWS`] flags bit: another chunk of the same run follows.
+pub const ROWS_MORE: u8 = 1;
+
+/// Bytes before the first row of a [`KIND_ROWS`] payload: the flags byte
+/// and the row count.
+pub const ROWS_HEADER_LEN: usize = 1 + 4;
+
+/// Rows per [`KIND_ROWS`] frame: what fits in [`ROWS_CHUNK_BYTES`] after
+/// the length prefix, the kind byte and [`ROWS_HEADER_LEN`].
+pub const ROWS_CHUNK_ROWS: usize = (ROWS_CHUNK_BYTES - 4 - 1 - ROWS_HEADER_LEN) / RESULT_ROW_LEN;
+
+/// Appends one [`KIND_ROWS`] chunk payload: the flags byte ([`ROWS_MORE`]
+/// when `more`), the row count, then `rows[i]` for each `i` in `order`
+/// in the 48-byte row codec. Encoding through `order` means a worker
+/// never builds a sorted copy of its rows.
+pub fn encode_rows_chunk(rows: &[WindowResult], order: &[u32], more: bool, buf: &mut Vec<u8>) {
+    buf.reserve(ROWS_HEADER_LEN + order.len() * RESULT_ROW_LEN);
+    buf.push(if more { ROWS_MORE } else { 0 });
+    buf.extend_from_slice(&(order.len() as u32).to_le_bytes());
+    for &i in order {
+        encode_result_row(&rows[i as usize], buf);
     }
 }
 
-/// Decodes a result-rows payload.
-pub fn decode_rows(payload: &[u8]) -> Result<Vec<WindowResult>, WireError> {
+/// Decodes a [`KIND_ROWS`] chunk header into `(more, rows)`, checking
+/// that exactly `rows` encoded rows follow it at [`ROWS_HEADER_LEN`].
+pub fn decode_rows_header(payload: &[u8]) -> Result<(bool, usize), WireError> {
     let mut r = Cursor::new(payload);
+    let more = match r.u8("dist rows flags")? {
+        0 => false,
+        ROWS_MORE => true,
+        _ => {
+            return Err(WireError::Truncated {
+                what: "dist rows flags",
+            })
+        }
+    };
     let n = r.u32("dist rows")? as usize;
-    let mut rows = Vec::with_capacity(n.min(payload.len() / 48 + 1));
-    for _ in 0..n {
-        rows.push(decode_result_row(&mut r)?);
-    }
-    if r.remaining() != 0 {
+    // Checked: `n` is the peer's claim.
+    if n.checked_mul(RESULT_ROW_LEN) != Some(r.remaining()) {
         return Err(WireError::Truncated { what: "dist rows" });
     }
-    Ok(rows)
+    Ok((more, n))
+}
+
+/// Writes `rows`, in the order `order` gives, as one run of [`KIND_ROWS`]
+/// frames of at most [`ROWS_CHUNK_ROWS`] rows each, every chunk but the
+/// last flagged [`ROWS_MORE`]. Each chunk is flushed as soon as it is
+/// encoded, so the reader can merge it while the next one is encoded.
+/// An empty run is one empty frame.
+pub fn write_rows<W: Write>(
+    out: &mut FrameWriter,
+    w: &mut W,
+    rows: &[WindowResult],
+    order: &[u32],
+) -> Result<(), WireError> {
+    let mut chunks = order.chunks(ROWS_CHUNK_ROWS).peekable();
+    loop {
+        let chunk = chunks.next().unwrap_or(&[]);
+        let more = chunks.peek().is_some();
+        out.stage_with(KIND_ROWS, |buf| encode_rows_chunk(rows, chunk, more, buf));
+        out.flush_to(w)?;
+        if !more {
+            return Ok(());
+        }
+    }
 }
 
 /// One worker's counter snapshot ([`KIND_STATS_REPLY`] payload).
@@ -351,8 +405,10 @@ pub fn decode_finish(payload: &[u8]) -> Result<Option<u64>, WireError> {
     Ok(seal)
 }
 
-/// One worker's final accounting ([`KIND_FINISH_REPLY`] payload).
-#[derive(Debug, Clone, PartialEq)]
+/// One worker's final accounting ([`KIND_FINISH_REPLY`] payload). The
+/// residual rows no poll drained travel before it, as a [`KIND_ROWS`]
+/// run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FinishReply {
     /// Events the worker processed.
     pub events_processed: u64,
@@ -362,8 +418,6 @@ pub struct FinishReply {
     pub elapsed_nanos: u64,
     /// The worker's final [`ExecStats`].
     pub stats: ExecStats,
-    /// Residual collected rows not yet drained by a poll.
-    pub rows: Vec<WindowResult>,
 }
 
 /// Appends a [`FinishReply`] payload.
@@ -379,7 +433,6 @@ pub fn encode_finish_reply(reply: &FinishReply, buf: &mut Vec<u8>) {
     ] {
         buf.extend_from_slice(&v.to_le_bytes());
     }
-    encode_rows(&reply.rows, buf);
 }
 
 /// Decodes a [`FinishReply`] payload.
@@ -395,14 +448,16 @@ pub fn decode_finish_reply(payload: &[u8]) -> Result<FinishReply, WireError> {
         agg_ops: next()?,
         replans: next()?,
     };
-    let rest = r.take(r.remaining(), "dist finish reply")?;
-    let rows = decode_rows(rest)?;
+    if r.remaining() != 0 {
+        return Err(WireError::Truncated {
+            what: "dist finish reply",
+        });
+    }
     Ok(FinishReply {
         events_processed,
         results_emitted,
         elapsed_nanos,
         stats,
-        rows,
     })
 }
 
@@ -505,16 +560,94 @@ mod tests {
         encode_profiles(&profiles, &mut buf);
         assert_eq!(decode_profiles(&buf).unwrap(), profiles);
 
-        let rows = vec![WindowResult {
+        let reply = FinishReply {
+            events_processed: 1,
+            results_emitted: 2,
+            elapsed_nanos: 3,
+            stats: stats.stats,
+        };
+        buf.clear();
+        encode_finish_reply(&reply, &mut buf);
+        assert_eq!(decode_finish_reply(&buf).unwrap(), reply);
+        buf.push(0);
+        assert!(decode_finish_reply(&buf).is_err());
+    }
+
+    /// Reads one run of `ROWS` frames back, checking every frame's size
+    /// and flags.
+    fn read_run(mut wire: &[u8]) -> (usize, Vec<WindowResult>) {
+        let mut frames = fw_serve::wire::FrameReader::new();
+        let (mut count, mut rows) = (0, Vec::new());
+        loop {
+            let before = wire.len();
+            let (kind, payload) = frames.read_raw(&mut wire).unwrap();
+            assert_eq!(kind, KIND_ROWS);
+            assert!(
+                before - wire.len() <= ROWS_CHUNK_BYTES,
+                "frame over the chunk bound"
+            );
+            let (more, n) = decode_rows_header(payload).unwrap();
+            let mut r = Cursor::new(&payload[ROWS_HEADER_LEN..]);
+            for _ in 0..n {
+                rows.push(fw_serve::wire::decode_result_row(&mut r).unwrap());
+            }
+            count += 1;
+            if !more {
+                assert!(wire.is_empty(), "bytes after the last chunk");
+                return (count, rows);
+            }
+        }
+    }
+
+    #[test]
+    fn rows_travel_in_bounded_chunks_in_the_given_order() {
+        let rows: Vec<WindowResult> = (0..2 * ROWS_CHUNK_ROWS as u32 + 7)
+            .map(|k| WindowResult {
+                window: Window::new(20, 10).unwrap(),
+                interval: Interval::new(0, 20),
+                key: k,
+                agg: k % 4,
+                value: f64::from(k) - 0.5,
+            })
+            .collect();
+        let order: Vec<u32> = (0..rows.len() as u32).rev().collect();
+        let mut out = FrameWriter::new();
+        for (n, frames) in [(0, 1), (1, 1), (ROWS_CHUNK_ROWS, 1), (rows.len(), 3)] {
+            let mut wire = Vec::new();
+            write_rows(&mut out, &mut wire, &rows, &order[..n]).unwrap();
+            let (count, got) = read_run(&wire);
+            assert_eq!(count, frames, "{n} rows");
+            let want: Vec<_> = order[..n].iter().map(|&i| rows[i as usize]).collect();
+            assert_eq!(got, want, "{n} rows");
+        }
+    }
+
+    #[test]
+    fn rows_chunk_headers_are_checked() {
+        let row = WindowResult {
             window: Window::new(20, 10).unwrap(),
             interval: Interval::new(0, 20),
             key: 3,
             agg: 0,
             value: 2.5,
-        }];
-        buf.clear();
-        encode_rows(&rows, &mut buf);
-        assert_eq!(decode_rows(&buf).unwrap(), rows);
+        };
+        let mut buf = Vec::new();
+        encode_rows_chunk(&[row, row], &[1, 0], true, &mut buf);
+        assert_eq!(decode_rows_header(&buf).unwrap(), (true, 2));
+        // A count that disagrees with the payload's length, either way.
+        assert!(decode_rows_header(&buf[..buf.len() - 1]).is_err());
+        let mut long = buf.clone();
+        long.push(0);
+        assert!(decode_rows_header(&long).is_err());
+        // An unknown flag bit, and a header cut short.
+        let mut flags = buf.clone();
+        flags[0] = 0x80;
+        assert!(decode_rows_header(&flags).is_err());
+        assert!(decode_rows_header(&buf[..3]).is_err());
+        // A count near u32::MAX must not overflow the length check.
+        let mut huge = buf[..ROWS_HEADER_LEN].to_vec();
+        huge[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_rows_header(&huge).is_err());
     }
 
     #[test]

@@ -9,13 +9,18 @@
 //! connection's [`FrameReader`] body buffer and batches decode in place
 //! into one recycled [`EventBatch`].
 //!
+//! Sealed rows leave in canonical order, so the coordinator only merges:
+//! a poll drains into a recycled buffer, [`CanonicalOrder`] computes the
+//! permutation, and [`proto::write_rows`] encodes straight from it into
+//! bounded `ROWS` chunks — no sorted copy of the rows is ever built.
+//!
 //! A half-open connection cannot wedge the worker: the handshake
 //! (`Hello` + `Setup`) runs under [`HANDSHAKE_TIMEOUT`]; only after the
 //! pipeline is built does the socket revert to blocking reads.
 
 use crate::proto::{self, Setup};
 use fw_core::{FromJson, QueryPlan};
-use fw_engine::{EngineError, EventBatch, PlanPipeline};
+use fw_engine::{CanonicalOrder, EngineError, EventBatch, PlanPipeline};
 use fw_serve::wire::{decode_batch_into, FrameReader, FrameWriter, WireError};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -100,11 +105,14 @@ fn serve_connection(stream: TcpStream) -> Result<(), WireError> {
     out.flush_to(&mut writer)?;
     stream.set_read_timeout(None)?;
 
-    // Steady state: one recycled batch, one deferred-death slot. After
-    // an engine error the pipeline is dead — data frames are dropped,
-    // requests are answered with the error again (the coordinator's
-    // next synchronous call surfaces it).
+    // Steady state: one recycled batch, one recycled poll buffer and its
+    // ordering scratch, one deferred-death slot. After an engine error
+    // the pipeline is dead — data frames are dropped, requests are
+    // answered with the error again (the coordinator's next synchronous
+    // call surfaces it).
     let mut batch = EventBatch::new();
+    let mut rows = Vec::new();
+    let mut order = CanonicalOrder::default();
     let mut dead: Option<EngineError> = None;
     // A read error means the coordinator hung up (cleanly or not): this
     // shard is done.
@@ -145,12 +153,12 @@ fn serve_connection(stream: TcpStream) -> Result<(), WireError> {
                 send_err(&mut out, &mut writer, &e)?;
             }
             proto::KIND_POLL => {
-                let rows = pipeline
+                pipeline
                     .as_mut()
                     .expect("pipeline until finish")
-                    .poll_results();
-                out.stage_with(proto::KIND_ROWS, |buf| proto::encode_rows(&rows, buf));
-                out.flush_to(&mut writer)?;
+                    .poll_results_into(&mut rows);
+                proto::write_rows(&mut out, &mut writer, &rows, order.of(&rows))?;
+                rows.clear();
             }
             proto::KIND_STATS => {
                 let p = pipeline.as_ref().expect("pipeline until finish");
@@ -232,12 +240,13 @@ fn serve_connection(stream: TcpStream) -> Result<(), WireError> {
                     });
                 match finished {
                     Ok(run) => {
+                        let residual = &run.results;
+                        proto::write_rows(&mut out, &mut writer, residual, order.of(residual))?;
                         let reply = proto::FinishReply {
                             events_processed: run.events_processed,
                             results_emitted: run.results_emitted,
                             elapsed_nanos: run.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
                             stats: run.stats,
-                            rows: run.results,
                         };
                         out.stage_with(proto::KIND_FINISH_REPLY, |buf| {
                             proto::encode_finish_reply(&reply, buf);

@@ -24,7 +24,7 @@
 
 use crate::checkpoint::{self, CheckpointError, CheckpointResult, PipelineImage};
 use crate::error::{EngineError, Result};
-use crate::event::{Event, WindowResult};
+use crate::event::{CanonicalOrder, Event, WindowResult};
 use crate::executor::{ExecStats, PipelineOptions, PlanPipeline, RunOutput};
 use crate::shard::ShardedPipeline;
 use fw_core::{GroupPlan, GroupStrategy, QueryId, QueryPlan, Route, Window};
@@ -157,27 +157,23 @@ pub struct GroupResult {
 }
 
 /// Canonical ordering for comparing group result sets:
-/// `(query, window, instance, key, aggregate index)`.
+/// `(query, window, instance, key, aggregate index)`, ties in input
+/// order — each query's rows ordered by [`CanonicalOrder`].
 #[must_use]
-pub fn sorted_group_results(mut results: Vec<GroupResult>) -> Vec<GroupResult> {
-    results.sort_by(|a, b| {
-        let ka = (
-            a.query,
-            a.result.window,
-            a.result.interval,
-            a.result.key,
-            a.result.agg,
-        );
-        let kb = (
-            b.query,
-            b.result.window,
-            b.result.interval,
-            b.result.key,
-            b.result.agg,
-        );
-        ka.cmp(&kb)
-    });
-    results
+pub fn sorted_group_results(results: Vec<GroupResult>) -> Vec<GroupResult> {
+    let mut by_query: std::collections::BTreeMap<QueryId, Vec<WindowResult>> = Default::default();
+    for r in &results {
+        by_query.entry(r.query).or_default().push(r.result);
+    }
+    let mut order = CanonicalOrder::default();
+    let mut sorted = Vec::with_capacity(results.len());
+    for (query, rows) in by_query {
+        sorted.extend(order.of(&rows).iter().map(|&i| GroupResult {
+            query,
+            result: rows[i as usize],
+        }));
+    }
+    sorted
 }
 
 /// Outcome of a finished group run.

@@ -59,7 +59,9 @@ pub use checkpoint::{
     merge_pipeline_snapshots, partition_pipeline_snapshot, CheckpointError, SnapshotSummary,
 };
 pub use error::{EngineError, Result};
-pub use event::{sorted_results, Event, ResultSink, WindowResult};
+pub use event::{
+    merge_ordered, sorted_results, CanonicalOrder, Event, OrderedRun, ResultSink, WindowResult,
+};
 pub use executor::{ExecStats, PipelineOptions, PlanPipeline, RunOutput, PROFILE_CLOCK_STRIDE};
 pub use fasthash::{FastBuildHasher, FastMap, FastU32BuildHasher, FastU32Map};
 pub use group::{

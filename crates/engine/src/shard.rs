@@ -24,14 +24,16 @@
 //!
 //! Watermarks broadcast to every shard; [`ShardedPipeline::finish`] seals
 //! all shards at the *global* maximum event time (a shard must seal
-//! instances that end after its own last local event), merges per-shard
-//! results into `(window, instance, key)` order, and sums the cost-model
-//! accounting ([`ExecStats`]) across shards.
+//! instances that end after its own last local event) and sums the
+//! cost-model accounting ([`ExecStats`]) across shards. Results come back
+//! in `(window, instance, key)` order without a sort on the façade: each
+//! shard thread orders its own rows ([`crate::CanonicalOrder`]) and the
+//! façade k-way merges the runs ([`merge_ordered`]).
 
 use crate::batch::EventBatch;
 use crate::checkpoint::{self, CheckpointError, PipelineImage};
 use crate::error::{EngineError, Result};
-use crate::event::{sorted_results, Event, WindowResult};
+use crate::event::{merge_ordered, sorted_results, Event, WindowResult};
 use crate::executor::{ExecStats, PipelineOptions, PlanPipeline, RunOutput};
 use crate::group::ExecBackend;
 use fw_core::QueryPlan;
@@ -104,7 +106,8 @@ enum Command {
     Batch(EventBatch),
     /// Broadcast watermark announcement.
     Watermark(u64),
-    /// Drain collected results into the reply channel.
+    /// Drain collected results, in canonical order, into the reply
+    /// channel.
     Poll(mpsc::Sender<Vec<WindowResult>>),
     /// Report `(events_fed, results_emitted, stats)` without disturbing
     /// the stream.
@@ -130,7 +133,8 @@ enum Command {
         reply: mpsc::Sender<std::result::Result<Box<PipelineImage>, CheckpointError>>,
     },
     /// Seal at the global horizon (if any events flowed), finish, reply
-    /// with the shard's accounting, and exit.
+    /// with the shard's accounting and its residual rows in canonical
+    /// order, and exit.
     Finish {
         seal: Option<u64>,
         reply: mpsc::Sender<Result<RunOutput>>,
@@ -192,7 +196,7 @@ fn worker(
                 }
             }
             Command::Poll(reply) => {
-                let _ = reply.send(pipeline.poll_results());
+                let _ = reply.send(sorted_results(pipeline.poll_results()));
             }
             Command::Stats(reply) => {
                 let _ = reply.send((
@@ -250,11 +254,22 @@ fn worker(
                         }
                     }
                 }
-                let _ = reply.send(pipeline.finish());
+                let _ = reply.send(pipeline.finish().map(|mut out| {
+                    out.results = sorted_results(out.results);
+                    out
+                }));
                 return;
             }
         }
     }
+}
+
+/// Merges the shards' canonically ordered runs (see [`merge_ordered`]).
+fn merge_runs(runs: Vec<Vec<WindowResult>>) -> Vec<WindowResult> {
+    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    let mut runs: Vec<_> = runs.into_iter().map(Vec::into_iter).collect();
+    merge_ordered(&mut runs, &mut out).expect("shard runs are in canonical order by construction");
+    out
 }
 
 struct WorkerHandle {
@@ -735,14 +750,14 @@ impl ShardedPipeline {
                 rx
             })
             .collect();
-        let mut merged = Vec::new();
+        let mut runs = Vec::with_capacity(replies.len());
         for (shard, rx) in replies.into_iter().enumerate() {
             match rx.recv() {
-                Ok(results) => merged.extend(results),
+                Ok(results) => runs.push(results),
                 Err(_) => self.workers[shard].died(),
             }
         }
-        sorted_results(merged)
+        merge_runs(runs)
     }
 
     /// Ends the stream: every shard seals at the global horizon
@@ -770,6 +785,7 @@ impl ShardedPipeline {
             stats: ExecStats::default(),
         };
         let mut shard_error = None;
+        let mut runs = Vec::with_capacity(replies.len());
         for (shard, rx) in replies.into_iter().enumerate() {
             match rx.recv() {
                 Ok(Ok(out)) => {
@@ -778,7 +794,7 @@ impl ShardedPipeline {
                     merged.stats.updates += out.stats.updates;
                     merged.stats.combines += out.stats.combines;
                     merged.stats.agg_ops += out.stats.agg_ops;
-                    merged.results.extend(out.results);
+                    runs.push(out.results);
                 }
                 Ok(Err(e)) => {
                     shard_error.get_or_insert(e);
@@ -801,7 +817,7 @@ impl ShardedPipeline {
         if let Some(e) = shard_error {
             return Err(e);
         }
-        merged.results = sorted_results(merged.results);
+        merged.results = merge_runs(runs);
         Ok(merged)
     }
 

@@ -15,7 +15,7 @@ use crate::ServeError;
 use fw_engine::{Event, EventBatch, GroupResult};
 use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Bounded exponential backoff for [`ServeClient::connect_with_retry`]:
 /// at most `attempts` connection attempts, sleeping a jittered,
@@ -245,51 +245,50 @@ impl ServeClient {
         }
     }
 
-    /// Drains whatever frames are already in flight, waiting at most
-    /// `wait` for the first byte. Returns the number of frames consumed
-    /// (results and lag notices are stashed, not returned).
+    /// Waits at most `wait` for a first frame, then drains every further
+    /// frame whose bytes are already buffered or readable without
+    /// waiting, and returns as soon as none is. Returns the number of
+    /// frames consumed (results and lag notices are stashed, not
+    /// returned).
     pub fn poll(&mut self, wait: Duration) -> Result<usize, ServeError> {
-        let deadline = Instant::now() + wait;
         let mut drained = 0;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            self.stream
-                .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))
-                .map_err(crate::wire::WireError::Io)?;
-            // Peek without consuming: a timeout here leaves the stream
-            // at a clean frame boundary.
-            let has_data = match self.reader.fill_buf() {
-                Ok(buf) => !buf.is_empty(),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    false
-                }
-                Err(e) => {
-                    let _ = self.stream.set_read_timeout(None);
-                    return Err(crate::wire::WireError::Io(e).into());
-                }
-            };
-            if !has_data {
-                break;
-            }
-            // Data is in flight: finish the frame without a deadline
-            // (the server writes whole frames per flush).
-            self.stream
-                .set_read_timeout(None)
-                .map_err(crate::wire::WireError::Io)?;
+        let mut wait = Some(wait);
+        while self.frame_in_flight(wait.take())? {
+            // Finish the frame with blocking reads: the server writes
+            // whole frames per flush.
             let frame = self.frames_in.read(&mut self.reader)?;
             self.stash(frame)?;
             drained += 1;
         }
-        self.stream
-            .set_read_timeout(None)
-            .map_err(crate::wire::WireError::Io)?;
         Ok(drained)
+    }
+
+    /// Whether a frame has started to arrive: bytes already buffered, or
+    /// readable within `wait` (`None` or zero: without waiting at all).
+    /// Peeks without consuming, so the stream stays at a frame boundary,
+    /// and leaves the socket blocking with no timeout.
+    fn frame_in_flight(&mut self, wait: Option<Duration>) -> Result<bool, ServeError> {
+        if !self.reader.buffer().is_empty() {
+            return Ok(true);
+        }
+        let io = crate::wire::WireError::Io;
+        match wait.filter(|w| !w.is_zero()) {
+            Some(wait) => self.stream.set_read_timeout(Some(wait)).map_err(io)?,
+            None => self.stream.set_nonblocking(true).map_err(io)?,
+        }
+        let peeked = self.reader.fill_buf().map(|buf| !buf.is_empty());
+        self.stream.set_nonblocking(false).map_err(io)?;
+        self.stream.set_read_timeout(None).map_err(io)?;
+        match peeked {
+            Ok(ready) => Ok(ready),
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                Ok(false)
+            }
+            Err(e) => Err(io(e).into()),
+        }
     }
 
     /// Takes every result stashed so far.
@@ -343,5 +342,69 @@ impl ServeClient {
             _ => {} // stray acks are harmless
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{read_frame, write_frame};
+    use fw_core::{Interval, Window};
+    use fw_engine::WindowResult;
+    use std::net::TcpListener;
+    use std::time::Instant;
+
+    /// A peer that completes the handshake, sends `frames`, then holds
+    /// the connection open (silent) until the client hangs up.
+    fn silent_peer_after(frames: Vec<Frame>) -> std::net::SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            assert!(matches!(read_frame(&mut stream), Ok(Frame::Hello { .. })));
+            let ack = Frame::HelloAck {
+                magic: crate::wire::PROTOCOL_MAGIC,
+                version: crate::wire::PROTOCOL_VERSION,
+            };
+            write_frame(&mut stream, &ack).unwrap();
+            for frame in &frames {
+                write_frame(&mut stream, frame).unwrap();
+            }
+            // Blocks until the client closes.
+            let _ = std::io::Read::read(&mut stream, &mut [0u8; 1]);
+        });
+        addr
+    }
+
+    #[test]
+    fn poll_returns_a_frame_in_flight_without_sleeping_its_wait() {
+        let row = WindowResult {
+            window: Window::tumbling(10).unwrap(),
+            interval: Interval::new(0, 10),
+            key: 1,
+            agg: 0,
+            value: 2.5,
+        };
+        let addr = silent_peer_after(vec![Frame::Results {
+            query_id: 3,
+            rows: vec![row],
+        }]);
+        let mut client = ServeClient::connect(addr).unwrap();
+        let start = Instant::now();
+        let drained = client.poll(Duration::from_secs(2)).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(drained, 1);
+        assert_eq!(client.results().len(), 1);
+        assert!(
+            elapsed < Duration::from_millis(200),
+            "poll took {elapsed:?}"
+        );
+
+        // Nothing in flight: a zero wait returns at once, a short one
+        // waits it out, and both leave the connection usable.
+        assert_eq!(client.poll(Duration::ZERO).unwrap(), 0);
+        let start = Instant::now();
+        assert_eq!(client.poll(Duration::from_millis(30)).unwrap(), 0);
+        assert!(start.elapsed() >= Duration::from_millis(25));
     }
 }

@@ -42,7 +42,7 @@ use crate::host::{GroupHost, HostConfig};
 use crate::metrics::Metrics;
 use crate::wire::{
     error_code, Frame, FrameReader, FrameWriter, LagKind, WireError, PROTOCOL_MAGIC,
-    PROTOCOL_VERSION,
+    PROTOCOL_VERSION, RESULTS_CHUNK_ROWS,
 };
 use crate::ServeError;
 use fw_core::QueryId;
@@ -487,7 +487,8 @@ fn connection_loop(
                 | WireError::BadMagic { .. }
                 | WireError::BadVersion { .. }
                 | WireError::BadUtf8
-                | WireError::BadWindow { .. }),
+                | WireError::BadWindow { .. }
+                | WireError::BadInterval { .. }),
             ) => {
                 Metrics::add(&metrics.frames_in, 1);
                 outbox.try_send(
@@ -940,9 +941,10 @@ fn refresh_gauges(host: &GroupHost, metrics: &Metrics) {
     Metrics::raise(&metrics.watermark, host.watermark());
 }
 
-/// Fans routed results out to their owning connections' outboxes,
-/// shedding (with notice) where an outbox is full. Returns the number of
-/// rows actually handed to outboxes.
+/// Fans routed results out to their owning connections' outboxes, each
+/// query's rows split into [`Frame::Results`] frames of at most
+/// [`RESULTS_CHUNK_ROWS`] rows, shedding (with notice) where an outbox is
+/// full. Returns the number of rows actually handed to outboxes.
 fn route_results(
     results: Vec<GroupResult>,
     owners: &HashMap<u32, u64>,
@@ -953,14 +955,18 @@ fn route_results(
         return 0;
     }
     let mut delivered = 0u64;
-    let mut per_query: HashMap<u32, Vec<fw_engine::WindowResult>> = HashMap::new();
+    let mut per_query: HashMap<u32, Vec<Vec<fw_engine::WindowResult>>> = HashMap::new();
     for result in results {
-        per_query
-            .entry(result.query.0)
-            .or_default()
-            .push(result.result);
+        let chunks = per_query.entry(result.query.0).or_default();
+        match chunks.last_mut() {
+            Some(rows) if rows.len() < RESULTS_CHUNK_ROWS => rows.push(result.result),
+            _ => chunks.push(vec![result.result]),
+        }
     }
-    for (query_id, rows) in per_query {
+    for (query_id, rows) in per_query
+        .into_iter()
+        .flat_map(|(query_id, chunks)| chunks.into_iter().map(move |rows| (query_id, rows)))
+    {
         let Some(conn) = owners.get(&query_id) else {
             continue; // subscriber already gone
         };

@@ -43,6 +43,16 @@ pub const PROTOCOL_VERSION: u16 = 1;
 /// + end (all `u64`), key + aggregate slot (`u32`), value bits (`u64`).
 pub const RESULT_ROW_LEN: usize = 8 + 8 + 8 + 8 + 4 + 4 + 8;
 
+/// The most bytes one frame carrying result rows may take on the wire,
+/// length prefix included: a seal's rows are split across as many frames
+/// as they need ([`Frame::Results`] here, `ROWS` in fw-dist), so no
+/// legitimate seal comes near [`MAX_FRAME_LEN`].
+pub const ROWS_CHUNK_BYTES: usize = 1 << 20;
+
+/// Rows per [`Frame::Results`] frame: what fits in [`ROWS_CHUNK_BYTES`]
+/// after the length prefix, kind byte, query id and row count.
+pub const RESULTS_CHUNK_ROWS: usize = (ROWS_CHUNK_BYTES - 4 - 1 - 4 - 4) / RESULT_ROW_LEN;
+
 /// What went wrong while encoding or decoding wire traffic.
 #[derive(Debug)]
 pub enum WireError {
@@ -87,6 +97,13 @@ pub enum WireError {
         /// The window's slide.
         slide: u64,
     },
+    /// A decoded window instance is empty or inverted (`end <= start`).
+    BadInterval {
+        /// The instance's start.
+        start: u64,
+        /// The instance's end.
+        end: u64,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -106,6 +123,9 @@ impl std::fmt::Display for WireError {
             WireError::BadUtf8 => write!(f, "payload is not valid utf-8"),
             WireError::BadWindow { range, slide } => {
                 write!(f, "invalid window range={range} slide={slide}")
+            }
+            WireError::BadInterval { start, end } => {
+                write!(f, "invalid window instance [{start}, {end})")
             }
         }
     }
@@ -841,6 +861,15 @@ impl FrameReader {
         r.read_exact(&mut self.body)?;
         Ok((self.body[0], &self.body[1..]))
     }
+
+    /// The payload [`FrameReader::read_raw`] last returned (empty before
+    /// the first frame), for decoders that consume one payload across
+    /// several calls — fw-dist's gather decodes a `ROWS` chunk row by row
+    /// as its merge asks for them.
+    #[must_use]
+    pub fn payload(&self) -> &[u8] {
+        self.body.get(1..).unwrap_or(&[])
+    }
 }
 
 /// Writes one frame to `w` (caller flushes). Allocates a fresh buffer
@@ -982,6 +1011,9 @@ pub fn decode_result_row(r: &mut Cursor<'_>) -> Result<WindowResult, WireError> 
     let agg = r.u32("result row")?;
     let value = f64::from_bits(r.u64("result row")?);
     let window = Window::new(range, slide).map_err(|_| WireError::BadWindow { range, slide })?;
+    if end <= start {
+        return Err(WireError::BadInterval { start, end });
+    }
     Ok(WindowResult {
         window,
         interval: Interval::new(start, end),
